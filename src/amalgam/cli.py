@@ -1,7 +1,7 @@
 """Command-line front end: construct, color, detach, verify, sweep.
 
 Exit codes: 0 success/certified, 2 infeasible or failed verification,
-1 internal error, 64 usage error. Output is deterministic for a fixed
+1 internal or detachment error, 64 usage error. Output is deterministic for a fixed
 (argv, seed): JSON is emitted with sorted keys, DOT in a fixed order.
 """
 
@@ -328,7 +328,10 @@ def run(argv) -> int:
     except (GraphUsageError, ColoringContractError, DetachmentContractError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DetachmentError, RuntimeError) as exc:
+    except DetachmentError as exc:
+        print(f"error: {exc}", file=sys.stderr)  # names the vertex, split and color
+        return EXIT_INTERNAL
+    except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -9,13 +9,17 @@ integral circulation, which yields the degree and multiplicity quotas.
 
 A color class's component structure after the split depends only on
 those counts, because parallel edges to the same neighbor are
-interchangeable. So for color classes whose per-vertex degree shares are
-even, the split searches the count vectors inside their windows for one
-that keeps the class's component count unchanged, re-checking the
-cross-color circulation before committing.
+interchangeable. Color classes whose per-vertex degree shares are even
+must also keep their component count. The split search is flow-guided
+and fail-first: it solves one circulation for all cells and accepts it
+as soon as every such color's row in it keeps its components. Otherwise
+it searches the rows of the first color whose row breaks a component,
+trying the flow's value first in each cell, re-solves the circulation
+with that row fixed, and goes on from the new flow with the colors left.
 
 The output is gated by ``verify_detachment``; construction retries with
-shuffled search orders before giving up.
+shuffled search orders before giving up, and the error it then raises
+names the vertex, split and color where the search got stuck.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .flows import feasible_circulation
-from .multigraph import AmalgamationSpec, EdgeColoring, Multigraph, approx
+from .multigraph import AmalgamationSpec, EdgeColoring, Multigraph, UnionFind, approx
 
 _LOOP = -1  # neighbor key for loop endpoints
 
@@ -36,11 +40,37 @@ class DetachmentContractError(ValueError):
 
 
 class DetachmentError(RuntimeError):
-    """Construction failed to satisfy the detachment properties."""
+    """Construction failed to satisfy the detachment properties.
 
-    def __init__(self, violated: list[str]):
-        super().__init__(f"detachment failed properties: {', '.join(violated)}")
+    When the split search gave up, the error names where: the fused
+    ``vertex``, the split ``delta`` (its copies still to be made), the
+    qualifying ``color`` whose row search failed (None if the quota
+    windows alone admitted no circulation) and the search ``nodes`` of
+    the last attempt. All four are None when the verifier rejected the
+    output instead.
+    """
+
+    def __init__(
+        self,
+        violated: list[str],
+        vertex: int | None = None,
+        delta: int | None = None,
+        color: int | None = None,
+        nodes: int | None = None,
+    ):
+        message = f"detachment failed properties: {', '.join(violated)}"
+        if vertex is not None:
+            message += (
+                f" at vertex {vertex}, split delta={delta}, "
+                + (f"color {color}" if color is not None else "no color")
+                + f", {nodes} search nodes in the last attempt"
+            )
+        super().__init__(message)
         self.violated = violated
+        self.vertex = vertex
+        self.delta = delta
+        self.color = color
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -128,19 +158,20 @@ def detach(
 
     quals = qualifying_colors(h, coloring, eta)
     last_report = None
+    stuck = None
     for attempt in range(max_attempts):
         rng = random.Random(seed * 1000003 + attempt)
         result = _detach_once(h, coloring, tuple(eta), quals, attempt, rng)
-        if result is None:
+        if isinstance(result, DetachmentError):
+            stuck = result
             continue
         report = verify_detachment(h, coloring, result)
         if report.all_passed:
             return result
         last_report = report
-    violated = ["construction"] if last_report is None else [
-        name for name, ok in last_report.properties.items() if not ok
-    ]
-    raise DetachmentError(violated)
+    if last_report is None:
+        raise stuck or DetachmentError(["construction"])  # no attempt at all
+    raise DetachmentError([name for name, ok in last_report.properties.items() if not ok])
 
 
 def _detach_once(
@@ -150,7 +181,8 @@ def _detach_once(
     quals: list[int],
     attempt: int,
     rng: random.Random,
-) -> DetachmentResult | None:
+) -> DetachmentResult | DetachmentError:
+    """One construction attempt; a split the search gave up on is returned as the error."""
     endpoints = [list(pair) for pair in h.edges]
     colors = coloring.colors
     phi = list(range(h.vertex_count))
@@ -161,11 +193,11 @@ def _detach_once(
     for u in range(h.vertex_count):
         while remaining[u] > 1:
             delta = remaining[u]
-            ok = _split_vertex(
+            stuck = _split_vertex(
                 endpoints, colors, vertex_count, u, delta, quals, attempt, rng
             )
-            if not ok:
-                return None
+            if stuck is not None:
+                return stuck
             new_vertex = vertex_count
             vertex_count += 1
             phi.append(phi[u])
@@ -187,32 +219,27 @@ def _split_vertex(
     quals: list[int],
     attempt: int,
     rng: random.Random,
-) -> bool:
+) -> DetachmentError | None:
     """Move a quota share of u's endpoint slots onto a fresh vertex.
 
     Mutates ``endpoints`` in place on success (new vertex id is
-    ``vertex_count``). Returns False if no component-preserving count
-    assignment was found within this attempt's search budget.
+    ``vertex_count``) and returns None. If no component-preserving count
+    assignment was found within this attempt's search budget, returns
+    the error that names the split.
     """
-    # cell = (color, neighbor); loops at u form the cell (color, _LOOP)
-    cell_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for eid, (a, b) in enumerate(endpoints):
-        other = _LOOP if a == b == u else (b if a == u else a if b == u else None)
-        if a == u:
-            cell_slots.setdefault((colors[eid], other), []).append((eid, 0))
-        if b == u:
-            cell_slots.setdefault((colors[eid], other), []).append((eid, 1))
-    if not cell_slots:
-        return True  # isolated vertex splits into isolated vertices
-
-    counts = _SplitCounts(endpoints, colors, vertex_count, u, delta, cell_slots)
-    assignment = counts.solve(quals, attempt, rng)
+    counts = _SplitCounts(endpoints, colors, vertex_count, u, delta, quals)
+    if not counts.cell_slots:
+        return None  # isolated vertex splits into isolated vertices
+    assignment = counts.solve(attempt, rng)
     if assignment is None:
-        return False
+        return DetachmentError(
+            ["construction"], vertex=u, delta=delta, color=counts.stuck_color,
+            nodes=counts.nodes,
+        )
 
     new_vertex = vertex_count
     for cell, take in assignment.items():
-        slots = cell_slots[cell]
+        slots = counts.cell_slots[cell]
         if cell[1] == _LOOP:
             # one endpoint per loop, never both, so no loop survives at the end
             loops = sorted({eid for eid, _ in slots})
@@ -225,35 +252,124 @@ def _split_vertex(
             moved = slots[:take]
         for eid, end in moved:
             endpoints[eid][end] = new_vertex
-    return True
+    return None
+
+
+class _OutOfBudget(Exception):
+    """The split search spent its node budget while searching a color's rows."""
 
 
 class _SplitCounts:
-    """Search for per-cell move counts that respect every quota window.
+    """Flow-guided, fail-first search for the per-cell move counts of one split.
 
     Windows: each cell, each color (row sum), each neighbor (column sum)
     and the grand total must land in [floor(size/delta), ceil(size/delta)].
     Joint feasibility across colors is a circulation on the color/neighbor
-    bipartite graph; component preservation for a color with even degree
-    shares is checked on its own row via union-find.
+    bipartite graph. A qualifying color (even degree shares) must also
+    keep its component count, which depends only on its row of counts.
+
+    The search keeps one feasible circulation that honours every row
+    fixed so far. At each level it tests the row each remaining
+    qualifying color has in that flow: if all keep their components, the
+    flow is the answer (accept early). Otherwise it searches the rows of
+    the first color that fails (fail first), trying the flow's value
+    first in each cell; a row that keeps the components is fixed, the
+    circulation is solved again with it, and the next level starts from
+    that flow. Every row inside the windows is still tried, so no
+    feasible split is lost; ``budget`` caps the search nodes.
+
+    The component test costs O(row): the color class with u's edges
+    removed is merged once per split, and a candidate row only unions u,
+    the fresh vertex w and the roots of u's neighbours.
     """
 
-    def __init__(self, endpoints, colors, vertex_count, u, delta, cell_slots):
-        self.endpoints = endpoints
-        self.colors = colors
-        self.vertex_count = vertex_count
+    budget = 20_000
+
+    def __init__(self, endpoints, colors, vertex_count, u, delta, quals):
         self.u = u
         self.delta = delta
-        self.cell_sizes = {cell: len(slots) for cell, slots in cell_slots.items()}
+        qual_set = set(quals)
+        # one pass: the slots of each cell, and each qualifying color's edges away from u
+        # cell = (color, neighbor); loops at u form the cell (color, _LOOP)
+        self.cell_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        away: dict[int, list[tuple[int, int]]] = {j: [] for j in quals}
+        for eid, (a, b) in enumerate(endpoints):
+            c = colors[eid]
+            if a == u:
+                other = _LOOP if b == u else b
+                self.cell_slots.setdefault((c, other), []).append((eid, 0))
+                if b == u:
+                    self.cell_slots[(c, other)].append((eid, 1))
+            elif b == u:
+                self.cell_slots.setdefault((c, a), []).append((eid, 1))
+            elif c in qual_set:
+                away[c].append((a, b))
+
+        self.cell_sizes = {cell: len(slots) for cell, slots in self.cell_slots.items()}
         self.color_ids = sorted({c for c, _ in self.cell_sizes})
         self.neighbor_ids = sorted({z for _, z in self.cell_sizes})
         self.color_sizes = {c: 0 for c in self.color_ids}
         self.neighbor_sizes = {z: 0 for z in self.neighbor_ids}
-        for (c, z), size in self.cell_sizes.items():
+        self.cells_of: dict[int, list[int]] = {c: [] for c in self.color_ids}
+        for (c, z), size in sorted(self.cell_sizes.items()):
             self.color_sizes[c] += size
             self.neighbor_sizes[z] += size
+            self.cells_of[c].append(z)
         self.total = sum(self.cell_sizes.values())
-        self.budget = 20_000
+        self.quals = [j for j in quals if j in self.color_sizes]
+        self._components = {
+            j: self._component_state(vertex_count, away[j], self.cells_of[j])
+            for j in self.quals
+        }
+        self.nodes = 0
+        self.stuck_color: int | None = None
+
+    def _component_state(self, vertex_count, away, cells):
+        """Per-color data for ``keeps_components``.
+
+        Returns the component count before the split, the components
+        that u's edges do not reach, a map from each neighbor of u to a
+        small id of its component once u's edges are removed, and the
+        number of those ids.
+        """
+        u = self.u
+        before = edge_component_count(
+            away + [(u, u if z == _LOOP else z) for z in cells]
+        )
+        uf = UnionFind(vertex_count)
+        touched = set()
+        for a, b in away:
+            uf.union(a, b)
+            touched.update((a, b))
+        node_of_root: dict[int, int] = {}
+        node_of: dict[int, int] = {}
+        for z in cells:
+            if z != _LOOP:
+                node_of[z] = node_of_root.setdefault(uf.find(z), len(node_of_root))
+        unreached = len({uf.find(x) for x in touched} - set(node_of_root))
+        return before, unreached, node_of, len(node_of_root)
+
+    def keeps_components(self, j: int, row: dict[int, int]) -> bool:
+        """Would moving ``row`` of color j's slots keep its component count?"""
+        before, unreached, node_of, m = self._components[j]
+        u, w = m, m + 1
+        uf = UnionFind(m + 2)
+        moved = kept = False
+        for z, take in row.items():
+            if z == _LOOP:
+                kept = True  # every loop keeps an endpoint at u
+                if take:
+                    uf.union(u, w)  # a loop with one endpoint moved joins u and w
+                    moved = True
+                continue
+            if take:
+                uf.union(w, node_of[z])
+                moved = True
+            if take < self.cell_sizes[(j, z)]:
+                uf.union(u, node_of[z])
+                kept = True
+        # u or w left without an edge of color j is no vertex of the class
+        return unreached + uf.component_count() - (not kept) - (not moved) == before
 
     def _window(self, size: int) -> tuple[int, int]:
         return size // self.delta, -(-size // self.delta)
@@ -287,89 +403,84 @@ class _SplitCounts:
             return None
         return {cell: flow[idx] for cell, idx in cell_arc.items()}
 
-    def _row_preserves_components(self, j: int, row: dict[int, int]) -> bool:
-        """Would moving ``row`` of color j's slots keep its component count?"""
-        before: list[tuple[int, int]] = []
-        after: list[tuple[int, int]] = []
-        w = self.vertex_count
-        for eid, (a, b) in enumerate(self.endpoints):
-            if self.colors[eid] != j:
-                continue
-            before.append((a, b))
-            if self.u not in (a, b):
-                after.append((a, b))
-        for z, take in row.items():
-            keep = self.cell_sizes[(j, z)] - take
-            if z == _LOOP:
-                # each moved loop endpoint turns one loop into a u--w edge
-                untouched_loops = self.cell_sizes[(j, z)] // 2 - take
-                after.extend([(self.u, w)] * (take > 0))
-                after.extend([(self.u, self.u)] * (untouched_loops > 0))
-                continue
-            if take:
-                after.append((w, z))
-            if keep:
-                after.append((self.u, z))
-        return edge_component_count(after) == edge_component_count(before)
+    def solve(self, attempt: int, rng: random.Random):
+        """Full count assignment, or None if the search gives up.
 
-    def solve(self, quals, attempt: int, rng: random.Random):
-        """Full count assignment, or None if the search budget runs out."""
-        qual_present = [j for j in quals if j in self.color_sizes and self.color_sizes[j]]
-        fixed: dict[tuple[int, int], int] = {}
-        self._nodes = 0
+        On None, ``stuck_color`` names the color whose row search failed:
+        where the budget ran out, or else the first color that failed.
+        """
+        self.nodes = 0
+        self.stuck_color = None
+        flow = self._circulation({})
+        if flow is None:
+            return None
+        try:
+            return self._settle(self.quals, {}, flow, attempt, rng)
+        except _OutOfBudget as exc:
+            self.stuck_color = exc.args[0]
+            return None
 
-        def place_color(qi: int):
-            if self._nodes > self.budget:
-                return None
-            if qi == len(qual_present):
-                return self._circulation(fixed)
-            j = qual_present[qi]
-            cells = [z for (c, z) in self.cell_sizes if c == j]
-            cells.sort()
+    def _settle(self, pending, fixed, flow, attempt, rng):
+        """Extend ``flow``, which honours ``fixed``, until no pending color fails."""
+        j = next(
+            (
+                c for c in pending
+                if not self.keeps_components(c, {z: flow[(c, z)] for z in self.cells_of[c]})
+            ),
+            None,
+        )
+        if j is None:
+            return flow
+        rest = [c for c in pending if c != j]
+        cells = list(self.cells_of[j])
+        if attempt > 0:
+            rng.shuffle(cells)
+        target = self.color_sizes[j] // self.delta  # exact: delta divides
+        windows = [self._window(self.cell_sizes[(j, z)]) for z in cells]
+        suffix_hi = [0] * (len(cells) + 1)
+        suffix_lo = [0] * (len(cells) + 1)
+        for i in range(len(cells) - 1, -1, -1):
+            suffix_lo[i] = suffix_lo[i + 1] + windows[i][0]
+            suffix_hi[i] = suffix_hi[i + 1] + windows[i][1]
+        row: dict[int, int] = {}
+
+        def place_cell(ci: int, remaining: int):
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise _OutOfBudget(j)
+            if ci == len(cells):
+                # the flow's own row failed the test, so any row that passes needs a new solve
+                if remaining or not self.keeps_components(j, row):
+                    return None
+                for z in cells:
+                    fixed[(j, z)] = row[z]
+                new_flow = self._circulation(fixed)
+                found = None if new_flow is None else self._settle(
+                    rest, fixed, new_flow, attempt, rng
+                )
+                if found is None:
+                    for z in cells:
+                        del fixed[(j, z)]
+                return found
+            lo, hi = windows[ci]
+            lo = max(lo, remaining - suffix_hi[ci + 1])
+            hi = min(hi, remaining - suffix_lo[ci + 1])
+            values = list(range(lo, hi + 1))
             if attempt > 0:
-                rng.shuffle(cells)
-            target = self.color_sizes[j] // self.delta  # exact: delta divides
-            windows = [self._window(self.cell_sizes[(j, z)]) for z in cells]
-            suffix_hi = [0] * (len(cells) + 1)
-            suffix_lo = [0] * (len(cells) + 1)
-            for i in range(len(cells) - 1, -1, -1):
-                suffix_lo[i] = suffix_lo[i + 1] + windows[i][0]
-                suffix_hi[i] = suffix_hi[i + 1] + windows[i][1]
-            row: dict[int, int] = {}
+                rng.shuffle(values)
+            values.sort(key=lambda x: x != flow[(j, cells[ci])])  # the flow's value first
+            for x in values:
+                row[cells[ci]] = x
+                found = place_cell(ci + 1, remaining - x)
+                if found is not None:
+                    return found
+            row.pop(cells[ci], None)
+            return None
 
-            def place_cell(ci: int, remaining: int):
-                self._nodes += 1
-                if self._nodes > self.budget:
-                    return None
-                if ci == len(cells):
-                    if remaining == 0 and self._row_preserves_components(j, row):
-                        for z in cells:
-                            fixed[(j, z)] = row[z]
-                        # prune early: the other colors must still fit
-                        if self._circulation(fixed) is not None:
-                            found = place_color(qi + 1)
-                            if found is not None:
-                                return found
-                        for z in cells:
-                            del fixed[(j, z)]
-                    return None
-                lo, hi = windows[ci]
-                lo = max(lo, remaining - suffix_hi[ci + 1])
-                hi = min(hi, remaining - suffix_lo[ci + 1])
-                values = list(range(lo, hi + 1))
-                if attempt > 0:
-                    rng.shuffle(values)
-                for x in values:
-                    row[cells[ci]] = x
-                    found = place_cell(ci + 1, remaining - x)
-                    if found is not None:
-                        return found
-                row.pop(cells[ci], None)
-                return None
-
-            return place_cell(0, target)
-
-        return place_color(0)
+        found = place_cell(0, target)
+        if found is None:
+            self.stuck_color = j  # every row of j failed; the outermost level reports last
+        return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Small integral max-flow kernel and feasible circulations with lower bounds.
 
-Deliberately minimal: just enough for the laminar quota selection and the
-Euler-orientation splitting used by the coloring engines. Not a general
-flow library.
+Deliberately minimal. Its heaviest caller is ``detach``: every vertex
+split solves the circulation of its quota windows, and solves it again
+each time the split search fixes a color's row. The laminar quota
+selection and the Euler-orientation splitting of the coloring engines
+use it too. Not a general flow library.
 """
 
 from __future__ import annotations

@@ -129,6 +129,28 @@ def test_detach_command(tmp_path, capsys):
     assert run(["detach", str(inp), "--eta", str(bad)]) == 64
 
 
+def test_detach_failure_names_its_location(tmp_path, capsys, monkeypatch):
+    from amalgam.detachment import _SplitCounts
+
+    def stuck(self, attempt, rng):
+        self.stuck_color, self.nodes = 1, 7
+        return None
+
+    monkeypatch.setattr(_SplitCounts, "solve", stuck)
+    payload = {
+        "graph": graph_to_json(Multigraph(1, ((0, 0),) * 3)),
+        "coloring": coloring_to_json(EdgeColoring(1, (1, 1, 1))),
+    }
+    inp = tmp_path / "h.json"
+    inp.write_text(json.dumps(payload))
+    eta = tmp_path / "eta.json"
+    eta.write_text("[3]")
+    assert run(["detach", str(inp), "--eta", str(eta)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "construction at vertex 0, split delta=3, color 1, 7 search nodes" in err
+
+
 def test_sweep_marks_infeasible_cells(capsys):
     code, out = run_cli(
         capsys, "sweep", "--n-max", "2", "--m-max", "2",

@@ -1,18 +1,24 @@
+import itertools
 import random
 
 import pytest
 
+import amalgam.detachment as detachment
 from amalgam import (
     DetachmentContractError,
+    DetachmentError,
     DetachmentResult,
     EdgeColoring,
     Multigraph,
     amalgamate,
+    certify,
+    decompose_two_class,
     detach,
+    ham_decompose_complete,
     qualifying_colors,
     verify_detachment,
 )
-from amalgam.detachment import edge_component_count
+from amalgam.detachment import _LOOP, _SplitCounts, _split_vertex, edge_component_count
 from tests.conftest import random_detachment_instance
 
 
@@ -135,3 +141,108 @@ def test_random_instances_pass_all_properties():
         report = verify_detachment(h, coloring, result)
         assert report.all_passed, (h.edges, coloring.colors, eta, report.properties)
         done += 1
+
+
+def _rebuilt_row_keeps_components(endpoints, colors, u, w, cell_sizes, j, row):
+    """Oracle: build color j's edge lists before and after the move explicitly."""
+    before: list[tuple[int, int]] = []
+    after: list[tuple[int, int]] = []
+    for eid, (a, b) in enumerate(endpoints):
+        if colors[eid] != j:
+            continue
+        before.append((a, b))
+        if u not in (a, b):
+            after.append((a, b))
+    for z, take in row.items():
+        size = cell_sizes[(j, z)]
+        if z == _LOOP:
+            # each moved loop endpoint turns one loop into a u--w edge
+            after.extend([(u, w)] * (take > 0))
+            after.extend([(u, u)] * (size // 2 - take > 0))
+            continue
+        if take:
+            after.append((w, z))
+        if size - take:
+            after.append((u, z))
+    return edge_component_count(after) == edge_component_count(before)
+
+
+def test_component_test_matches_rebuilt_edge_lists():
+    rng = random.Random(4242)
+    rows_checked = 0
+    done = 0
+    while done < 80:
+        inst = random_detachment_instance(rng)
+        if inst is None:
+            continue
+        h, coloring, eta = inst
+        quals = qualifying_colors(h, coloring, eta)
+        endpoints = [list(pair) for pair in h.edges]
+        vertex_count = h.vertex_count
+        # walk the real split sequence, checking every split on the way
+        for u in range(h.vertex_count):
+            for delta in range(eta[u], 1, -1):
+                counts = _SplitCounts(endpoints, coloring.colors, vertex_count, u, delta, quals)
+                for j in counts.quals:
+                    cells = counts.cells_of[j]
+                    windows = [counts._window(counts.cell_sizes[(j, z)]) for z in cells]
+                    for values in itertools.product(*(range(lo, hi + 1) for lo, hi in windows)):
+                        row = dict(zip(cells, values))
+                        assert counts.keeps_components(j, row) == _rebuilt_row_keeps_components(
+                            endpoints, coloring.colors, u, vertex_count,
+                            counts.cell_sizes, j, row,
+                        ), (h.edges, coloring.colors, eta, u, delta, j, row)
+                        rows_checked += 1
+                stuck = _split_vertex(
+                    endpoints, coloring.colors, vertex_count, u, delta, quals, 0, rng
+                )
+                assert stuck is None
+                vertex_count += 1
+        done += 1
+    assert rows_checked > 1000
+
+
+def test_complete_41_certifies():
+    assert certify(ham_decompose_complete(41, 1)).passed
+
+
+@pytest.mark.parametrize("n,m,lam,mu", [(4, 3, 0, 3), (6, 6, 2, 1)])
+def test_two_class_splits_certify(n, m, lam, mu):
+    assert certify(decompose_two_class(n, m, lam, mu)).passed
+
+
+def test_criterion_6_pool_needs_no_retry(monkeypatch):
+    # a retry happens only when a split search spends its whole budget
+    attempts = []
+    real = detachment._detach_once
+
+    def counted(*args):
+        attempts.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(detachment, "_detach_once", counted)
+    rng = random.Random(20240817)
+    done = 0
+    while done < 500:
+        inst = random_detachment_instance(rng)
+        if inst is None:
+            continue
+        h, coloring, eta = inst
+        detach(h, coloring, eta, seed=done)
+        done += 1
+    assert len(attempts) == 500
+
+
+def test_failed_search_names_vertex_split_and_color(monkeypatch):
+    def stuck(self, attempt, rng):
+        self.stuck_color, self.nodes = 1, 7
+        return None
+
+    monkeypatch.setattr(_SplitCounts, "solve", stuck)
+    h = Multigraph(1, ((0, 0),) * 3)
+    with pytest.raises(DetachmentError) as info:
+        detach(h, EdgeColoring(1, (1, 1, 1)), [3], max_attempts=2)
+    err = info.value
+    assert err.violated == ["construction"]
+    assert (err.vertex, err.delta, err.color, err.nodes) == (0, 3, 1, 7)
+    assert "vertex 0, split delta=3, color 1, 7 search nodes" in str(err)
