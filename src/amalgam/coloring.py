@@ -5,9 +5,13 @@
   families (per-pair edge sets, per-side vertex stars, all edges).
 * ``evenly_equitable_coloring``: per-vertex-even k-coloring of an even
   multigraph (loops allowed) with per-vertex color degrees pairwise
-  differing by 0 or 2. Classes are extracted one at a time as bounded
-  circulations on an Eulerian orientation, with a pairwise rebalancing
-  repair pass as a safety net.
+  differing by 0 or 2. Classes k, k-1, ..., 2 are extracted one at a
+  time, each as a bounded circulation on an Eulerian orientation of the
+  edges not yet colored; class 1 takes what is left. With c classes to
+  go and half-degree h at a vertex, the class taken gets half-degree x
+  in {floor(h/c), ceil(h/c)}, and (h-x)/(c-1) stays in [q, q+1] for
+  q = floor(h/c). So every class ends with degree 2q or 2q+2 at that
+  vertex, and a single pass is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from collections import Counter, defaultdict
 from .euler import euler_circuits
 from .flows import feasible_circulation
 from .laminar import LaminarFamily, select_subset
-from .multigraph import EdgeColoring, GraphUsageError, Multigraph
+from .multigraph import EdgeColoring, GraphUsageError, Multigraph, color_degrees
 
 
 class ColoringContractError(ValueError):
@@ -110,17 +114,19 @@ def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
 
 
 def _even_class_split(
-    vertex_count: int, edges: dict[int, tuple[int, int]], divisor: int, rotation: int
-) -> set[int] | None:
+    vertex_count: int, edges: dict[int, tuple[int, int]], divisor: int
+) -> set[int]:
     """Edge set whose per-vertex degree is even and ~= degree/divisor.
 
     Orients an Eulerian circuit and takes a bounded circulation: the
     selected arcs give every vertex an even degree equal to twice its
-    throughput, which is quota-bounded.
+    throughput, which is quota-bounded. The circulation always exists:
+    sending 1/divisor of a unit along every arc is a fractional one, and
+    the bounds are integers.
     """
     if not edges:
         return set()
-    circuits = euler_circuits(vertex_count, edges, rotation=rotation)
+    circuits = euler_circuits(vertex_count, edges)
     arcs: list[tuple[int, int, int, int]] = []
     arc_edge: list[int] = []
     indeg: Counter[int] = Counter()
@@ -138,93 +144,36 @@ def _even_class_split(
         arcs.append((2 * v, 2 * v + 1, half // divisor, -(-half // divisor)))
     flow = feasible_circulation(2 * vertex_count, arcs)
     if flow is None:
-        return None
+        raise RuntimeError("even class split has no circulation; this indicates a bug")
     return {eids[i] for i in range(len(eids)) if flow[arc_edge[i]] == 1}
 
 
-def evenly_equitable_coloring(
-    g: Multigraph, k: int, max_attempts: int = 8
-) -> EdgeColoring:
+def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
     """Evenly-equitable k-edge-coloring of an even multigraph (loops allowed)."""
     if k < 1:
         raise GraphUsageError("k must be >= 1")
     for v, d in enumerate(g.degrees()):
         if d % 2:
             raise ColoringContractError(f"vertex {v} has odd degree {d}")
-    for attempt in range(max_attempts):
-        coloring = _evenly_equitable_attempt(g, k, rotation=attempt)
-        if coloring is not None and verify_evenly_equitable(g, coloring):
-            return coloring
-    raise RuntimeError("evenly-equitable coloring failed; this indicates a bug")
-
-
-def _evenly_equitable_attempt(g: Multigraph, k: int, rotation: int) -> EdgeColoring | None:
     colors = [0] * g.edge_count
     remaining = {e: g.edges[e] for e in range(g.edge_count)}
     for c in range(k, 1, -1):
-        chosen = _even_class_split(g.vertex_count, remaining, c, rotation)
-        if chosen is None:
-            break
-        for e in chosen:
+        for e in _even_class_split(g.vertex_count, remaining, c):
             colors[e] = c
             del remaining[e]
     for e in remaining:
         colors[e] = 1
     coloring = EdgeColoring(k, tuple(colors))
-    return _rebalance_pairs(g, coloring, rotation)
-
-
-def _class_degrees(g: Multigraph, colors: list[int], k: int) -> list[list[int]]:
-    deg = [[0] * (k + 1) for _ in range(g.vertex_count)]
-    for e, (a, b) in enumerate(g.edges):
-        deg[a][colors[e]] += 1
-        deg[b][colors[e]] += 1
-    return deg
-
-
-def _rebalance_pairs(g: Multigraph, coloring: EdgeColoring, rotation: int) -> EdgeColoring | None:
-    """Repair per-vertex spreads > 2 by re-splitting one color pair at a time.
-
-    Each repair re-splits the union of two classes by an even circulation,
-    which minimizes that pair's contribution to the per-vertex degree
-    spread; a sum-of-squares potential guarantees termination.
-    """
-    k = coloring.k
-    colors = list(coloring.colors)
-    deg = _class_degrees(g, colors, k)
-    guard = 0
-    while True:
-        bad = None
-        for v in range(g.vertex_count):
-            for i in range(1, k + 1):
-                for j in range(i + 1, k + 1):
-                    if abs(deg[v][i] - deg[v][j]) > 2:
-                        bad = (i, j)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad is None:
-            return EdgeColoring(k, tuple(colors))
-        guard += 1
-        if guard > 4 * g.edge_count * k + 100:
-            return None
-        i, j = bad
-        pair_edges = {e: g.edges[e] for e in range(g.edge_count) if colors[e] in (i, j)}
-        chosen = _even_class_split(g.vertex_count, pair_edges, 2, rotation)
-        if chosen is None:
-            return None
-        for e in pair_edges:
-            colors[e] = i if e in chosen else j
-        deg = _class_degrees(g, colors, k)
+    if not verify_evenly_equitable(g, coloring):
+        raise RuntimeError("evenly-equitable coloring failed; this indicates a bug")
+    return coloring
 
 
 def verify_evenly_equitable(g: Multigraph, coloring: EdgeColoring) -> bool:
     """Per vertex: every color degree even, pairwise differences in {0, 2}."""
     if len(coloring.colors) != g.edge_count:
         return False
-    deg = _class_degrees(g, list(coloring.colors), coloring.k)
+    deg = color_degrees(g, coloring.colors, coloring.k)
     for v in range(g.vertex_count):
         row = deg[v][1:]
         if any(d % 2 for d in row):

@@ -34,6 +34,8 @@ from .multigraph import (
     EdgeColoring,
     GraphUsageError,
     Multigraph,
+    UnionFind,
+    color_degrees,
     complete_graph,
     two_class_graph,
     two_class_parts,
@@ -414,30 +416,9 @@ def _require_simple_complete(base: Multigraph, coloring: EdgeColoring) -> None:
         raise GraphUsageError("base coloring does not match the base graph")
 
 
-def _class_degrees_of(base: Multigraph, coloring: EdgeColoring) -> list[list[int]]:
-    deg = [[0] * (coloring.k + 1) for _ in range(base.vertex_count)]
-    for e, (a, b) in enumerate(base.edges):
-        deg[a][coloring.colors[e]] += 1
-        deg[b][coloring.colors[e]] += 1
-    return deg
-
-
 def _class_is_acyclic(base: Multigraph, edge_ids: list[int]) -> bool:
-    parent = list(range(base.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_ids:
-        a, b = base.edges[e]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    uf = UnionFind(base.vertex_count)
+    return all(uf.union(*base.edges[e]) for e in edge_ids)
 
 
 def _path_embedding_violations(
@@ -452,7 +433,7 @@ def _path_embedding_violations(
         violations.append(f"need k={(m + n) // 2} classes, got {k}")
         return violations
     matching_class = k if (m + n) % 2 == 0 else None
-    deg = _class_degrees_of(base, coloring)
+    deg = color_degrees(base, coloring.colors, k)
     for j in range(1, k + 1):
         ids = coloring.class_edge_ids(j)
         cap = 1 if j == matching_class else 2
@@ -490,7 +471,7 @@ def embed_complete_paths(
     m = base.vertex_count
     k = base_coloring.k
     matching_class = k if (m + n) % 2 == 0 else None
-    deg = _class_degrees_of(base, base_coloring)
+    deg = color_degrees(base, base_coloring.colors, k)
 
     edges = list(base.edges)  # base edges keep their positions
     colors = list(base_coloring.colors)
@@ -537,7 +518,7 @@ def _factor_embedding_sigma(
         violations.append(f"sum(r)={sum(r)} != degree {m + n - 1}")
     if violations:
         return violations, None
-    deg = _class_degrees_of(base, coloring)
+    deg = color_degrees(base, coloring.colors, k)
     max_deg = [max(deg[v][j] for v in range(m)) if m else 0 for j in range(1, k + 1)]
     sizes = [len(coloring.class_edge_ids(j)) for j in range(1, k + 1)]
 
@@ -555,17 +536,11 @@ def _factor_embedding_sigma(
 
 
 def _assign_classes(k: int, compatible) -> list[int] | None:
-    """A bijection class -> degree slot honoring ``compatible``.
+    """A bijection class -> degree slot honoring ``compatible``, or None.
 
-    Exhaustive for small k, augmenting-path matching beyond that.
+    Augmenting-path bipartite matching, which finds a perfect matching
+    whenever one exists.
     """
-    if k <= 8:
-        import itertools
-
-        for perm in itertools.permutations(range(k)):
-            if all(compatible(j, perm[j]) for j in range(k)):
-                return list(perm)
-        return None
     match_of = [-1] * k  # slot -> class
 
     def augment(j: int, seen: set[int]) -> bool:
@@ -604,7 +579,7 @@ def embed_factorization(
     _ensure_feasible(FeasibilityReport.violated(violations))
     m = base.vertex_count
     k = base_coloring.k
-    deg = _class_degrees_of(base, base_coloring)
+    deg = color_degrees(base, base_coloring.colors, k)
 
     edges = list(base.edges)
     colors = list(base_coloring.colors)
@@ -704,6 +679,23 @@ def _rehost_two_class(
     )
 
 
+def _degenerate_two_class(
+    n: int, m: int, lam: int, mu: int, seed: int
+) -> DecompositionCertificate | None:
+    """Shapes whose host is complete or multipartite: built as such, else None."""
+    if m == 1:
+        return _rehost_two_class(ham_decompose_complete(n, lam, seed), n, m, lam, mu)
+    if n == 1:
+        return _rehost_two_class(ham_decompose_complete(m, mu, seed), n, m, lam, mu)
+    if lam == mu:
+        return _rehost_two_class(
+            ham_decompose_complete(n * m, lam, seed), n, m, lam, mu
+        )
+    if lam == 0:
+        return ham_decompose_multipartite(n, m, mu, seed=seed)
+    return None
+
+
 def _two_class_coloring(
     n: int, m: int, lam: int, mu: int, k: int, reserved_loops: int,
     leave_from_cross: bool, seed: int,
@@ -755,10 +747,7 @@ def _two_class_coloring(
 
     h = Multigraph(m, tuple(edges))
     coloring = EdgeColoring(num_classes, tuple(colors))
-    deg = [[0] * (num_classes + 1) for _ in range(m)]
-    for e, (a, b) in enumerate(h.edges):
-        deg[a][colors[e]] += 1
-        deg[b][colors[e]] += 1
+    deg = color_degrees(h, colors, num_classes)
     for p in range(m):
         for j in range(1, k + 1):
             if deg[p][j] != 2 * n:
@@ -778,16 +767,9 @@ def ham_decompose_two_class(
         report.feasible = False
         report.violations.append(f"(ii) degree {degree} is odd")
     _ensure_feasible(report)
-    if m == 1:
-        return _rehost_two_class(ham_decompose_complete(n, lam, seed), n, m, lam, mu)
-    if n == 1:
-        return _rehost_two_class(ham_decompose_complete(m, mu, seed), n, m, lam, mu)
-    if lam == mu:
-        return _rehost_two_class(
-            ham_decompose_complete(n * m, lam, seed), n, m, lam, mu
-        )
-    if lam == 0:
-        return ham_decompose_multipartite(n, m, mu, seed=seed)
+    degenerate = _degenerate_two_class(n, m, lam, mu, seed)
+    if degenerate is not None:
+        return degenerate
     k = degree // 2
     h, coloring = _two_class_coloring(n, m, lam, mu, k, 0, False, seed)
     result = detach(h, coloring, [n] * m, seed=seed)
@@ -809,16 +791,9 @@ def ham_plus_one_factor_two_class(
         report.feasible = False
         report.violations.append(f"(ii) degree {degree} is even")
     _ensure_feasible(report)
-    if m == 1:
-        return _rehost_two_class(ham_decompose_complete(n, lam, seed), n, m, lam, mu)
-    if n == 1:
-        return _rehost_two_class(ham_decompose_complete(m, mu, seed), n, m, lam, mu)
-    if lam == mu:
-        return _rehost_two_class(
-            ham_decompose_complete(n * m, lam, seed), n, m, lam, mu
-        )
-    if lam == 0:
-        return ham_decompose_multipartite(n, m, mu, seed=seed)
+    degenerate = _degenerate_two_class(n, m, lam, mu, seed)
+    if degenerate is not None:
+        return degenerate
     if n == 2:
         # peel one intra-part matching; the remainder has even degree
         inner = ham_decompose_two_class(2, m, lam - 1, mu, seed=seed)

@@ -30,9 +30,17 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .flows import feasible_circulation
-from .multigraph import AmalgamationSpec, EdgeColoring, Multigraph, UnionFind, approx
+from .multigraph import (
+    AmalgamationSpec,
+    EdgeColoring,
+    Multigraph,
+    UnionFind,
+    approx,
+    color_degrees,
+)
 
 _LOOP = -1  # neighbor key for loop endpoints
+_MAX_ATTEMPTS = 40  # construction attempts, the later ones with shuffled search orders
 
 
 class DetachmentContractError(ValueError):
@@ -123,27 +131,15 @@ def edge_component_count(edges) -> int:
 def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> list[int]:
     """Colors j with d_{H(j)}(v)/eta(v) an even integer at every vertex."""
     out = []
-    deg = _color_degrees(h, coloring)
+    deg = color_degrees(h, coloring.colors, coloring.k)
     for j in range(1, coloring.k + 1):
         if all(deg[v][j] % (2 * eta[v]) == 0 for v in range(h.vertex_count)):
             out.append(j)
     return out
 
 
-def _color_degrees(g: Multigraph, coloring: EdgeColoring) -> list[list[int]]:
-    deg = [[0] * (coloring.k + 1) for _ in range(g.vertex_count)]
-    for e, (a, b) in enumerate(g.edges):
-        deg[a][coloring.colors[e]] += 1
-        deg[b][coloring.colors[e]] += 1
-    return deg
-
-
 def detach(
-    h: Multigraph,
-    coloring: EdgeColoring,
-    eta: Sequence[int],
-    seed: int = 0,
-    max_attempts: int = 40,
+    h: Multigraph, coloring: EdgeColoring, eta: Sequence[int], seed: int = 0
 ) -> DetachmentResult:
     """Loopless eta-detachment satisfying the degree/multiplicity/component quotas."""
     if len(eta) != h.vertex_count:
@@ -159,7 +155,7 @@ def detach(
     quals = qualifying_colors(h, coloring, eta)
     last_report = None
     stuck = None
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
         result = _detach_once(h, coloring, tuple(eta), quals, attempt, rng)
         if isinstance(result, DetachmentError):
@@ -515,8 +511,8 @@ def verify_detachment(
 
     k = coloring.k
     siblings = [[w for w in range(g.vertex_count) if phi[w] == u] for u in range(h.vertex_count)]
-    deg_h = _color_degrees(h, coloring)
-    deg_g = _color_degrees(g, result.coloring)
+    deg_h = color_degrees(h, coloring.colors, k)
+    deg_g = color_degrees(g, result.coloring.colors, k)
     dh = h.degrees()
     dg = g.degrees()
 

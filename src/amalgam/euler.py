@@ -8,15 +8,14 @@ from __future__ import annotations
 
 
 def euler_circuits(
-    vertex_count: int,
-    edges: dict[int, tuple[int, int]],
-    rotation: int = 0,
+    vertex_count: int, edges: dict[int, tuple[int, int]]
 ) -> list[list[tuple[int, int, int]]]:
     """Closed trails covering the given edges, one per non-trivial component.
 
     ``edges`` maps edge id -> endpoints. Each circuit is a list of steps
     (edge_id, from_vertex, to_vertex) with consecutive steps sharing a
-    vertex. ``rotation`` rotates adjacency orders to vary the traversal.
+    vertex. Adjacency lists are built in ascending edge-id order, so the
+    traversal is a function of the input alone.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     degree = [0] * vertex_count
@@ -33,9 +32,6 @@ def euler_circuits(
     for v in range(vertex_count):
         if degree[v] % 2:
             raise ValueError(f"vertex {v} has odd degree {degree[v]}")
-        if rotation and adj[v]:
-            r = rotation % len(adj[v])
-            adj[v] = adj[v][r:] + adj[v][:r]
 
     used: set[int] = set()
     ptr = [0] * vertex_count

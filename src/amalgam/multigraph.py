@@ -72,9 +72,6 @@ class Multigraph:
             uf.union(a, b)
         return uf.component_count()
 
-    def is_connected(self) -> bool:
-        return self.vertex_count <= 1 or self.components() == 1
-
     def degrees(self) -> list[int]:
         d = [0] * self.vertex_count
         for a, b in self.edges:
@@ -112,6 +109,15 @@ def color_class(g: Multigraph, coloring: EdgeColoring, j: int) -> Multigraph:
     if len(coloring.colors) != g.edge_count:
         raise GraphUsageError("coloring does not match graph edge count")
     return g.subgraph_of_edges(coloring.class_edge_ids(j))
+
+
+def color_degrees(g: Multigraph, colors: Sequence[int], k: int) -> list[list[int]]:
+    """Per-color degree table: ``deg[v][j]`` for colors 1..k (column 0 unused)."""
+    deg = [[0] * (k + 1) for _ in range(g.vertex_count)]
+    for e, (a, b) in enumerate(g.edges):
+        deg[a][colors[e]] += 1
+        deg[b][colors[e]] += 1
+    return deg
 
 
 def color_class_degree(g: Multigraph, coloring: EdgeColoring, j: int, v: int) -> int:
@@ -177,10 +183,13 @@ class UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False if they were already one set."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
     def component_count(self) -> int:
         return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)

@@ -113,11 +113,19 @@ def test_verify_evenly_equitable_all_one_color_c4():
     assert verify_evenly_equitable(g, EdgeColoring(2, (1, 1, 1, 1)))
 
 
+def _random_stub_graph(rng: random.Random) -> Multigraph:
+    """Even multigraph from randomly paired degree stubs; loops allowed."""
+    nv = rng.randint(1, 8)
+    stubs = [v for v in range(nv) for _ in range(2 * rng.randint(0, 6))]
+    rng.shuffle(stubs)
+    return Multigraph(nv, tuple(zip(stubs[::2], stubs[1::2])))
+
+
 def test_evenly_equitable_random_suite():
     rng = random.Random(9)
-    for _ in range(200):
-        g = random_even_graph(rng)
-        k = rng.randint(1, 5)
+    for i in range(400):
+        g = random_even_graph(rng) if i % 2 else _random_stub_graph(rng)
+        k = rng.randint(1, 11)
         coloring = evenly_equitable_coloring(g, k)
         assert verify_evenly_equitable(g, coloring)
         assert len(coloring.colors) == g.edge_count

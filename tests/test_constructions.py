@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from amalgam import (
@@ -22,6 +25,7 @@ from amalgam import (
     ham_plus_one_factor_two_class,
     walecki_direct,
 )
+from amalgam.constructions import _assign_classes
 
 
 def roles(cert):
@@ -159,6 +163,23 @@ def test_embed_factorization_degree_cap_infeasible():
     with pytest.raises(InfeasibleError) as exc:
         embed_factorization(base, EdgeColoring(2, colors), 2, (1, 4))
     assert any("assignment" in v for v in exc.value.report.violations)
+
+
+def test_assign_classes_agrees_with_exhaustive_oracle():
+    rng = random.Random(4)
+    for _ in range(600):
+        k = rng.randint(1, 6)
+        density = rng.random()
+        ok = [[rng.random() < density for _ in range(k)] for _ in range(k)]
+        sigma = _assign_classes(k, lambda j, s: ok[j][s])
+        exists = any(
+            all(ok[j][perm[j]] for j in range(k))
+            for perm in itertools.permutations(range(k))
+        )
+        assert (sigma is not None) == exists
+        if sigma is not None:
+            assert sorted(sigma) == list(range(k))
+            assert all(ok[j][sigma[j]] for j in range(k))
 
 
 def test_multipartite_basic():

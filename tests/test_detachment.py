@@ -241,7 +241,7 @@ def test_failed_search_names_vertex_split_and_color(monkeypatch):
     monkeypatch.setattr(_SplitCounts, "solve", stuck)
     h = Multigraph(1, ((0, 0),) * 3)
     with pytest.raises(DetachmentError) as info:
-        detach(h, EdgeColoring(1, (1, 1, 1)), [3], max_attempts=2)
+        detach(h, EdgeColoring(1, (1, 1, 1)), [3])
     err = info.value
     assert err.violated == ["construction"]
     assert (err.vertex, err.delta, err.color, err.nodes) == (0, 3, 1, 7)

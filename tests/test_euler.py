@@ -58,5 +58,4 @@ def test_random_even_graphs():
                 edges[len(edges)] = (v, w)
                 v = w
             edges[len(edges)] = (v, start)
-        for rotation in (0, 1, 3):
-            _check_circuits(nv, edges, euler_circuits(nv, edges, rotation=rotation))
+        _check_circuits(nv, edges, euler_circuits(nv, edges))

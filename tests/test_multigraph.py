@@ -14,7 +14,7 @@ from amalgam import (
     two_class_graph,
     two_class_parts,
 )
-from amalgam.multigraph import approx, color_class, color_class_degree
+from amalgam.multigraph import approx, color_class, color_class_degree, color_degrees
 
 
 def test_loop_contributes_two_to_degree():
@@ -109,6 +109,17 @@ def test_color_class_is_spanning():
     assert color_class_degree(g, coloring, 2, 1) == 1
     sub_empty = color_class(complete_graph(3), EdgeColoring(2, (1, 1, 1)), 2)
     assert sub_empty.edge_count == 0
+
+
+def test_color_degrees_matches_color_class_degree():
+    g = Multigraph(4, ((0, 1), (1, 1), (1, 2), (2, 3), (3, 0), (0, 1), (2, 2)))
+    coloring = EdgeColoring(3, (1, 2, 2, 3, 1, 3, 1))
+    deg = color_degrees(g, coloring.colors, coloring.k)
+    for v in range(g.vertex_count):
+        for j in range(1, coloring.k + 1):
+            assert deg[v][j] == color_class_degree(g, coloring, j, v)
+        assert deg[v][0] == 0
+        assert sum(deg[v]) == g.degree(v)
 
 
 def test_coloring_validates_range():
