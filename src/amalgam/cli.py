@@ -57,12 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
 
 
 def _write_text(text: str, out: str | None) -> None:

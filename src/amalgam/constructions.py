@@ -3,8 +3,15 @@
 Each builder prepares a small fused graph whose loops and parallel edges
 stand for the target graph's edges, colors it so that per-class degree
 targets come out right, splits it back apart with ``detach``, and
-returns a certificate. Every certificate is re-checked with ``certify``
-before it is returned; a builder never hands back an unverified result.
+returns a certificate. Every certificate is checked with ``certify``
+exactly once, by the public builder that returns it; a builder never
+hands back an unverified result.
+
+Each host has one construction body, shared by its Hamiltonian builder
+and its factorization builder: a Hamiltonian decomposition is the
+factorization into 2-factors, plus one 1-factor when the degree is odd.
+``detach`` keeps every 2-factor connected because its degree share at
+each split is even, so the 2-factors come out as Hamiltonian cycles.
 
 ``walecki_direct`` is the odd one out: it builds Hamiltonian
 decompositions of complete multigraphs by rotating an explicit zigzag
@@ -29,7 +36,7 @@ from .certify import (
     certify,
 )
 from .coloring import evenly_equitable_coloring
-from .detachment import DetachmentResult, detach
+from .detachment import detach
 from .multigraph import (
     EdgeColoring,
     GraphUsageError,
@@ -357,7 +364,7 @@ def _claims_from_coloring(
     g: Multigraph,
     coloring: EdgeColoring,
     roles: Sequence[str],
-    rs: Sequence[int | None] | None = None,
+    rs: Sequence[int] | None,
     relabel: dict[int, int] | None = None,
 ) -> tuple[ClassClaim, ...]:
     claims = []
@@ -373,19 +380,32 @@ def _claims_from_coloring(
     return tuple(claims)
 
 
+def _hamiltonian_classes(
+    degree: int, role: str = ROLE_HAMILTONIAN
+) -> tuple[list[int], list[str]]:
+    """Factor degrees and roles of a Hamiltonian decomposition.
+
+    2-factors, plus one 1-factor when the degree is odd.
+    """
+    k, odd = divmod(degree, 2)
+    return [2] * k + [1] * odd, [role] * k + [ROLE_ONE_FACTOR] * odd
+
+
+def _complete_classes(
+    n: int, r: Sequence[int], roles: Sequence[str], rs: Sequence[int] | None, seed: int
+) -> tuple[ClassClaim, ...]:
+    """Claims of K_n's factors of degrees r: one loop vertex detached to n."""
+    if not r:
+        return ()
+    g, coloring = _detach_loop_classes(n, [n * ri // 2 for ri in r], seed)
+    return _claims_from_coloring(g, coloring, roles, rs)
+
+
 def ham_decompose_complete(n: int, lam: int, seed: int = 0) -> DecompositionCertificate:
     """Hamiltonian decomposition of lambda-fold K_n via the fused-graph route."""
     _ensure_feasible(_complete_feasibility(n, lam))
-    k = lam * (n - 1) // 2
-    if n == 1 or lam == 0:
-        return _certified(DecompositionCertificate(complete_graph(n, lam), ()))
-    sizes = [n] * k
-    roles = [ROLE_HAMILTONIAN] * k
-    if lam * (n - 1) % 2:
-        sizes.append(n // 2)
-        roles.append(ROLE_ONE_FACTOR)
-    g, coloring = _detach_loop_classes(n, sizes, seed)
-    claims = _claims_from_coloring(g, coloring, roles)
+    r, roles = _hamiltonian_classes(lam * (n - 1))
+    claims = _complete_classes(n, r, roles, None, seed)
     return _certified(DecompositionCertificate(complete_graph(n, lam), claims))
 
 
@@ -395,9 +415,7 @@ def factorize_complete(
     """Split lambda-fold K_n into spanning regular factors of the given degrees."""
     r = tuple(r)
     _ensure_feasible(_factorization_feasibility(n, lam, r, per_vertex=n))
-    sizes = [n * ri // 2 for ri in r]
-    g, coloring = _detach_loop_classes(n, sizes, seed)
-    claims = _claims_from_coloring(g, coloring, [ROLE_R_FACTOR] * len(r), rs=list(r))
+    claims = _complete_classes(n, r, [ROLE_R_FACTOR] * len(r), r, seed)
     return _certified(DecompositionCertificate(complete_graph(n, lam), claims))
 
 
@@ -456,6 +474,35 @@ def _path_embedding_violations(
     return violations
 
 
+def _embed(
+    base: Multigraph, coloring: EdgeColoring, n: int, r: Sequence[int],
+    roles: Sequence[str], rs: Sequence[int] | None, seed: int,
+) -> DecompositionCertificate:
+    """Grow class j of a colored K_m into a factor of degree r[j] of K_{m+n}.
+
+    The n new vertices are fused into one vertex u joined to each base
+    vertex up to degree r[j] in class j; u's loops supply the class's
+    remaining edges, |class j| - r[j]*(m-n)/2 of them. Detaching u into n
+    vertices gives the factors; base edges keep their positions.
+    """
+    m = base.vertex_count
+    deg = color_degrees(base, coloring.colors, coloring.k)
+    edges = list(base.edges)
+    colors = list(coloring.colors)
+    for j, rj in enumerate(r, start=1):
+        for v in range(m):
+            edges += [(v, m)] * (rj - deg[v][j])
+            colors += [j] * (rj - deg[v][j])
+        loops = len(coloring.class_edge_ids(j)) - rj * (m - n) // 2
+        edges += [(m, m)] * loops
+        colors += [j] * loops
+    h = Multigraph(m + 1, tuple(edges))
+    fused_coloring = EdgeColoring(coloring.k, tuple(colors))
+    result = detach(h, fused_coloring, [1] * m + [n], seed=seed)
+    claims = _claims_from_coloring(result.g, result.coloring, roles, rs)
+    return _certified(DecompositionCertificate(complete_graph(m + n, 1), claims))
+
+
 def embed_complete_paths(
     base: Multigraph, base_coloring: EdgeColoring, n: int, seed: int = 0
 ) -> DecompositionCertificate:
@@ -468,36 +515,8 @@ def embed_complete_paths(
     _require_simple_complete(base, base_coloring)
     violations = _path_embedding_violations(base, base_coloring, n)
     _ensure_feasible(FeasibilityReport.violated(violations))
-    m = base.vertex_count
-    k = base_coloring.k
-    matching_class = k if (m + n) % 2 == 0 else None
-    deg = color_degrees(base, base_coloring.colors, k)
-
-    edges = list(base.edges)  # base edges keep their positions
-    colors = list(base_coloring.colors)
-    u = m
-    for j in range(1, k + 1):
-        cap = 1 if j == matching_class else 2
-        for v in range(m):
-            for _ in range(cap - deg[v][j]):
-                edges.append((v, u))
-                colors.append(j)
-        ids = len(base_coloring.class_edge_ids(j))
-        if j == matching_class:
-            loops = (n - (m - 2 * ids)) // 2
-        else:
-            loops = n - (m - ids)
-        edges += [(u, u)] * loops
-        colors += [j] * loops
-
-    h = Multigraph(m + 1, tuple(edges))
-    coloring = EdgeColoring(k, tuple(colors))
-    result = detach(h, coloring, [1] * m + [n], seed=seed)
-    roles = [ROLE_HAMILTONIAN] * k
-    if matching_class is not None:
-        roles[matching_class - 1] = ROLE_ONE_FACTOR
-    claims = _claims_from_coloring(result.g, result.coloring, roles)
-    return _certified(DecompositionCertificate(complete_graph(m + n, 1), claims))
+    r, roles = _hamiltonian_classes(base.vertex_count + n - 1)
+    return _embed(base, base_coloring, n, r, roles, None, seed)
 
 
 def _factor_embedding_sigma(
@@ -577,44 +596,46 @@ def embed_factorization(
     r = tuple(r)
     violations, sigma = _factor_embedding_sigma(base, base_coloring, n, r)
     _ensure_feasible(FeasibilityReport.violated(violations))
-    m = base.vertex_count
-    k = base_coloring.k
-    deg = color_degrees(base, base_coloring.colors, k)
-
-    edges = list(base.edges)
-    colors = list(base_coloring.colors)
-    u = m
-    for j in range(1, k + 1):
-        rj = r[sigma[j - 1]]
-        for v in range(m):
-            for _ in range(rj - deg[v][j]):
-                edges.append((v, u))
-                colors.append(j)
-        loops = len(base_coloring.class_edge_ids(j)) - rj * (m - n) // 2
-        edges += [(u, u)] * loops
-        colors += [j] * loops
-
-    h = Multigraph(m + 1, tuple(edges))
-    coloring = EdgeColoring(k, tuple(colors))
-    result = detach(h, coloring, [1] * m + [n], seed=seed)
-    rs = [r[sigma[j]] for j in range(k)]
-    claims = _claims_from_coloring(
-        result.g, result.coloring, [ROLE_R_FACTOR] * k, rs=rs
-    )
-    return _certified(DecompositionCertificate(complete_graph(m + n, 1), claims))
+    rs = [r[slot] for slot in sigma]
+    return _embed(base, base_coloring, n, rs, [ROLE_R_FACTOR] * len(rs), rs, seed)
 
 
 # ---------------------------------------------------------------------------
 # Multipartite and two-class hosts
 
 
-def _part_relabel(result: DetachmentResult, n: int, m: int) -> dict[int, int]:
-    """Map detached vertices so part p occupies positions p*n .. p*n+n-1."""
-    mapping = {}
+def _part_classes(
+    h: Multigraph, coloring: EdgeColoring, n: int, m: int, roles: Sequence[str],
+    rs: Sequence[int] | None, seed: int,
+) -> tuple[ClassClaim, ...]:
+    """Claims after detaching each of h's m vertices into a part of n.
+
+    The detached vertices of part p are relabeled p*n .. p*n+n-1.
+    """
+    result = detach(h, coloring, [n] * m, seed=seed)
+    relabel = {}
     for p in range(m):
         for idx, w in enumerate(sorted(result.labels[p])):
-            mapping[w] = p * n + idx
-    return mapping
+            relabel[w] = p * n + idx
+    return _claims_from_coloring(result.g, result.coloring, roles, rs, relabel)
+
+
+def _multipartite_classes(
+    n: int, m: int, r: Sequence[int], roles: Sequence[str], rs: Sequence[int] | None,
+    seed: int,
+) -> tuple[ClassClaim, ...]:
+    """Claims of the factors of degrees r of a complete multipartite host.
+
+    Two fusion stages: the whole host collapses to one loop vertex for
+    the class layout, which detaches to m part-vertices (even factor
+    classes stay connected) and then to the full vertex set. Pair quotas
+    of the first detachment make every class's part-pair counts come out
+    within one automatically, so a fair decomposition needs nothing more.
+    """
+    if not r:
+        return ()
+    g1, col1 = _detach_loop_classes(m, [m * n * ri // 2 for ri in r], seed)
+    return _part_classes(g1, col1, n, m, roles, rs, seed + 1)
 
 
 def ham_decompose_multipartite(
@@ -622,30 +643,15 @@ def ham_decompose_multipartite(
 ) -> DecompositionCertificate:
     """Hamiltonian decomposition of the lambda-fold complete multipartite graph.
 
-    Two fusion stages: all of lambda*n^2*K_m collapses to one loop vertex
-    for the class layout, then detaches back to m part-vertices (even
-    factor classes stay connected), then to the full vertex set. Pair
-    quotas of the first detachment make every class's part-pair counts
-    come out within one automatically, so the fair variant is the same
-    construction plus the stricter verdict.
+    The fair variant is the same construction plus the stricter verdict.
     """
     _ensure_feasible(_multipartite_feasibility(n, m, lam, None, fair))
+    r, roles = _hamiltonian_classes(
+        lam * n * (m - 1), ROLE_FAIR_HAMILTONIAN if fair else ROLE_HAMILTONIAN
+    )
+    claims = _multipartite_classes(n, m, r, roles, None, seed)
     host = two_class_graph(n, m, 0, lam)
-    parts = two_class_parts(n, m)
-    degree = lam * n * (m - 1)
-    if degree == 0:
-        return _certified(DecompositionCertificate(host, (), parts))
-    k = degree // 2
-    sizes = [m * n] * k
-    roles = [ROLE_FAIR_HAMILTONIAN if fair else ROLE_HAMILTONIAN] * k
-    if degree % 2:
-        sizes.append(m * n // 2)
-        roles.append(ROLE_ONE_FACTOR)
-    g1, col1 = _detach_loop_classes(m, sizes, seed)
-    result = detach(g1, col1, [n] * m, seed=seed + 1)
-    relabel = _part_relabel(result, n, m)
-    claims = _claims_from_coloring(result.g, result.coloring, roles, relabel=relabel)
-    return _certified(DecompositionCertificate(host, claims, parts))
+    return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
 
 
 def factorize_multipartite(
@@ -653,60 +659,28 @@ def factorize_multipartite(
 ) -> DecompositionCertificate:
     """Regular factors of the lambda-fold complete multipartite graph."""
     r = tuple(r)
-    req = DecompositionRequest("factorize-multipartite", n=n, m=m, lam=lam, r=r)
-    _ensure_feasible(check_feasibility(req))
+    _ensure_feasible(_factorization_feasibility(
+        n * m, lam, r, per_vertex=n * m, degree=lam * n * (m - 1)
+    ))
+    claims = _multipartite_classes(n, m, r, [ROLE_R_FACTOR] * len(r), r, seed)
     host = two_class_graph(n, m, 0, lam)
-    parts = two_class_parts(n, m)
-    sizes = [m * n * ri // 2 for ri in r]
-    if sum(sizes) == 0:
-        claims = tuple(ClassClaim(ROLE_R_FACTOR, (), r=0) for _ in r)
-        return _certified(DecompositionCertificate(host, claims, parts))
-    g1, col1 = _detach_loop_classes(m, sizes, seed)
-    result = detach(g1, col1, [n] * m, seed=seed + 1)
-    relabel = _part_relabel(result, n, m)
-    claims = _claims_from_coloring(
-        result.g, result.coloring, [ROLE_R_FACTOR] * len(r), rs=list(r), relabel=relabel
-    )
-    return _certified(DecompositionCertificate(host, claims, parts))
-
-
-def _rehost_two_class(
-    cert: DecompositionCertificate, n: int, m: int, lam: int, mu: int
-) -> DecompositionCertificate:
-    host = two_class_graph(n, m, lam, mu)
-    return _certified(
-        DecompositionCertificate(host, cert.classes, two_class_parts(n, m))
-    )
-
-
-def _degenerate_two_class(
-    n: int, m: int, lam: int, mu: int, seed: int
-) -> DecompositionCertificate | None:
-    """Shapes whose host is complete or multipartite: built as such, else None."""
-    if m == 1:
-        return _rehost_two_class(ham_decompose_complete(n, lam, seed), n, m, lam, mu)
-    if n == 1:
-        return _rehost_two_class(ham_decompose_complete(m, mu, seed), n, m, lam, mu)
-    if lam == mu:
-        return _rehost_two_class(
-            ham_decompose_complete(n * m, lam, seed), n, m, lam, mu
-        )
-    if lam == 0:
-        return ham_decompose_multipartite(n, m, mu, seed=seed)
-    return None
+    return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
 
 
 def _two_class_coloring(
-    n: int, m: int, lam: int, mu: int, k: int, reserved_loops: int,
-    leave_from_cross: bool, seed: int,
+    n: int, m: int, lam: int, mu: int, degree: int
 ) -> tuple[Multigraph, EdgeColoring]:
     """The fused m-vertex graph behind a two-class decomposition.
 
     Pair multiplicities mu*n^2, lambda*C(n,2) loops per vertex. Classes
-    1..k each get one spanning cycle of the cross edges plus an evenly
-    equitable share of the remainder; reserved loops (and the cross
-    leave, if any) form class k+1.
+    1..k (k = degree // 2) each get one spanning cycle of the cross edges
+    plus an evenly equitable share of the remainder. For odd degree,
+    class k+1 is the 1-factor: floor(n/2) reserved loops per vertex and,
+    when n is odd, the cross leave.
     """
+    k, odd = divmod(degree, 2)
+    reserved_loops = odd * (n // 2)
+    leave_from_cross = bool(odd and n % 2)
     edges: list[tuple[int, int]] = []
     pair_ids: dict[tuple[int, int], deque[int]] = {}
     for p in range(m):
@@ -726,7 +700,7 @@ def _two_class_coloring(
     if len(cycles) < k or (leave_from_cross and cross_leave is None):
         raise RuntimeError("not enough spanning cycles in the fused graph (bug)")
 
-    num_classes = k + 1 if (reserved_loops or leave_from_cross) else k
+    num_classes = k + odd
     colors = [0] * len(edges)
     for j in range(1, k + 1):
         for a, b in cycles[j - 1]:
@@ -757,63 +731,58 @@ def _two_class_coloring(
     return h, coloring
 
 
+def _two_class_claims(
+    n: int, m: int, lam: int, mu: int, degree: int, seed: int
+) -> tuple[ClassClaim, ...]:
+    """Claims of a feasible two-multiplicity host of the given degree.
+
+    Shapes whose host is complete or multipartite are built as such.
+    """
+    r, roles = _hamiltonian_classes(degree)
+    if m == 1:
+        return _complete_classes(n, r, roles, None, seed)
+    if n == 1:
+        return _complete_classes(m, r, roles, None, seed)
+    if lam == mu:
+        return _complete_classes(n * m, r, roles, None, seed)
+    if lam == 0:
+        return _multipartite_classes(n, m, r, roles, None, seed)
+    if degree % 2 and n == 2:
+        # peel one intra-part matching; the remainder has even degree
+        matching = tuple((2 * p, 2 * p + 1) for p in range(m))
+        inner = _two_class_claims(2, m, lam - 1, mu, degree - 1, seed)
+        return inner + (ClassClaim(ROLE_ONE_FACTOR, matching),)
+    h, coloring = _two_class_coloring(n, m, lam, mu, degree)
+    return _part_classes(h, coloring, n, m, roles, None, seed)
+
+
+def _two_class_certificate(
+    n: int, m: int, lam: int, mu: int, seed: int, odd: bool
+) -> DecompositionCertificate:
+    """Certified two-class decomposition; ``odd`` is the degree parity required."""
+    report = _two_class_feasibility(n, m, lam, mu, None)
+    degree = lam * (n - 1) + mu * n * (m - 1) if n * m else 0
+    if degree % 2 != odd:
+        report.feasible = False
+        report.violations.append(f"(ii) degree {degree} is {'even' if odd else 'odd'}")
+    _ensure_feasible(report)
+    claims = _two_class_claims(n, m, lam, mu, degree, seed)
+    host = two_class_graph(n, m, lam, mu)
+    return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
+
+
 def ham_decompose_two_class(
     n: int, m: int, lam: int, mu: int, seed: int = 0
 ) -> DecompositionCertificate:
     """Hamiltonian decomposition of the even-degree two-multiplicity host."""
-    report = _two_class_feasibility(n, m, lam, mu, None)
-    degree = lam * (n - 1) + mu * n * (m - 1) if n * m else 0
-    if degree % 2:
-        report.feasible = False
-        report.violations.append(f"(ii) degree {degree} is odd")
-    _ensure_feasible(report)
-    degenerate = _degenerate_two_class(n, m, lam, mu, seed)
-    if degenerate is not None:
-        return degenerate
-    k = degree // 2
-    h, coloring = _two_class_coloring(n, m, lam, mu, k, 0, False, seed)
-    result = detach(h, coloring, [n] * m, seed=seed)
-    relabel = _part_relabel(result, n, m)
-    claims = _claims_from_coloring(
-        result.g, result.coloring, [ROLE_HAMILTONIAN] * k, relabel=relabel
-    )
-    host = two_class_graph(n, m, lam, mu)
-    return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
+    return _two_class_certificate(n, m, lam, mu, seed, odd=False)
 
 
 def ham_plus_one_factor_two_class(
     n: int, m: int, lam: int, mu: int, seed: int = 0
 ) -> DecompositionCertificate:
     """Odd-degree two-multiplicity host: Hamiltonian cycles plus one 1-factor."""
-    report = _two_class_feasibility(n, m, lam, mu, None)
-    degree = lam * (n - 1) + mu * n * (m - 1) if n * m else 0
-    if degree % 2 == 0:
-        report.feasible = False
-        report.violations.append(f"(ii) degree {degree} is even")
-    _ensure_feasible(report)
-    degenerate = _degenerate_two_class(n, m, lam, mu, seed)
-    if degenerate is not None:
-        return degenerate
-    if n == 2:
-        # peel one intra-part matching; the remainder has even degree
-        inner = ham_decompose_two_class(2, m, lam - 1, mu, seed=seed)
-        matching = tuple((2 * p, 2 * p + 1) for p in range(m))
-        claims = inner.classes + (ClassClaim(ROLE_ONE_FACTOR, matching),)
-        host = two_class_graph(2, m, lam, mu)
-        return _certified(
-            DecompositionCertificate(host, claims, two_class_parts(2, m))
-        )
-    k = (degree - 1) // 2
-    if n % 2 == 0:
-        h, coloring = _two_class_coloring(n, m, lam, mu, k, n // 2, False, seed)
-    else:
-        h, coloring = _two_class_coloring(n, m, lam, mu, k, (n - 1) // 2, True, seed)
-    result = detach(h, coloring, [n] * m, seed=seed)
-    relabel = _part_relabel(result, n, m)
-    roles = [ROLE_HAMILTONIAN] * k + [ROLE_ONE_FACTOR]
-    claims = _claims_from_coloring(result.g, result.coloring, roles, relabel=relabel)
-    host = two_class_graph(n, m, lam, mu)
-    return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
+    return _two_class_certificate(n, m, lam, mu, seed, odd=True)
 
 
 def decompose_two_class(

@@ -233,18 +233,16 @@ def _split_vertex(
             nodes=counts.nodes,
         )
 
+    # a cell's slots are parallel edges of one color, so which of them move
+    # only permutes edge ids and never changes a later split search
     new_vertex = vertex_count
     for cell, take in assignment.items():
         slots = counts.cell_slots[cell]
         if cell[1] == _LOOP:
             # one endpoint per loop, never both, so no loop survives at the end
             loops = sorted({eid for eid, _ in slots})
-            if attempt > 0:
-                rng.shuffle(loops)
             moved = [(eid, 0) for eid in loops[:take]]
         else:
-            if attempt > 0:
-                rng.shuffle(slots)
             moved = slots[:take]
         for eid, end in moved:
             endpoints[eid][end] = new_vertex

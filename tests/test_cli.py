@@ -3,8 +3,10 @@ import json
 import pytest
 
 from amalgam import (
+    DecompositionRequest,
     EdgeColoring,
     Multigraph,
+    check_feasibility,
     coloring_to_json,
     complete_graph,
     graph_to_json,
@@ -161,6 +163,24 @@ def test_sweep_marks_infeasible_cells(capsys):
     statuses = {(c["n"], c["m"], c["lambda"], c["mu"]): c["status"] for c in cells}
     assert statuses[(2, 2, 2, 1)] == "certified"
     assert statuses[(2, 2, 5, 1)] == "infeasible"
+
+
+@pytest.mark.slow
+def test_wide_sweep_grid(tmp_path):
+    # the wide two-class grid; about half a minute
+    target = tmp_path / "sweep.json"
+    code = run(["sweep", "--n-max", "6", "--m-max", "5", "--lambda-max", "4",
+                "--mu-max", "4", "--out", str(target)])
+    assert code == 0
+    cells = json.loads(target.read_text())["cells"]
+    assert sum(c["status"] == "certified" for c in cells) == 382
+    infeasible = [c for c in cells if c["status"] == "infeasible"]
+    assert len(infeasible) == 2
+    for c in infeasible:
+        req = DecompositionRequest(
+            "two-class", n=c["n"], m=c["m"], lam=c["lambda"], mu=c["mu"]
+        )
+        assert c["violations"] == check_feasibility(req).violations
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

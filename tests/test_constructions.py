@@ -25,6 +25,7 @@ from amalgam import (
     ham_plus_one_factor_two_class,
     walecki_direct,
 )
+import amalgam.constructions as constructions
 from amalgam.constructions import _assign_classes
 
 
@@ -304,3 +305,66 @@ def test_supply_inequality_holds_on_feasible_grid():
                     k = degree // 2
                     supply = (mu * n * n * (m - 1)) // 2
                     assert supply >= k
+
+
+@pytest.mark.parametrize(
+    "shape, calls",
+    [
+        ((3, 1, 1, 2), 1),  # one part: complete host
+        ((1, 4, 2, 1), 1),  # singleton parts: complete host
+        ((2, 3, 1, 1), 1),  # equal multiplicities: complete host
+        ((2, 3, 1, 2), 1),  # odd, n = 2: matching peeled, remainder multipartite
+        ((2, 3, 3, 1), 2),  # also walecki_direct's check of the fused cross graph
+    ],
+)
+def test_two_class_builders_certify_once(monkeypatch, shape, calls):
+    seen = []
+
+    def counting_certify(cert):
+        seen.append(cert)
+        return certify(cert)
+
+    monkeypatch.setattr(constructions, "certify", counting_certify)
+    cert = decompose_two_class(*shape)
+    assert len(seen) == calls
+    assert seen[-1] is cert
+
+
+def _class_edges(cert):
+    return [claim.edges for claim in cert.classes]
+
+
+def _walecki_restricted(m, n):
+    """K_m colored by walecki_direct(m + n, 1) restricted to its first m vertices."""
+    class_of = {
+        e: j
+        for j, claim in enumerate(walecki_direct(m + n, 1).classes, start=1)
+        for e in claim.edges
+    }
+    base = complete_graph(m, 1)
+    k = (m + n) // 2
+    return base, EdgeColoring(k, tuple(class_of[e] for e in base.edges))
+
+
+def test_hamiltonian_builders_equal_factorizations():
+    def two_factors(degree):
+        k, odd = divmod(degree, 2)
+        return (2,) * k + (1,) * odd
+
+    for n in range(2, 10):
+        for lam in (1, 2):
+            ham = ham_decompose_complete(n, lam)
+            factors = factorize_complete(n, lam, two_factors(lam * (n - 1)))
+            assert _class_edges(ham) == _class_edges(factors), (n, lam)
+    for n in range(1, 4):
+        for m in range(2, 4):
+            for lam in (1, 2):
+                ham = ham_decompose_multipartite(n, m, lam)
+                factors = factorize_multipartite(n, m, lam, two_factors(lam * n * (m - 1)))
+                assert _class_edges(ham) == _class_edges(factors), (n, m, lam)
+    for total in (3, 5, 7, 9):
+        for m in range(1, total):
+            base, coloring = _walecki_restricted(m, total - m)
+            paths = embed_complete_paths(base, coloring, total - m)
+            factors = embed_factorization(base, coloring, total - m, (2,) * coloring.k)
+            assert _class_edges(paths) == _class_edges(factors), (m, total - m)
