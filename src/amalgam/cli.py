@@ -1,13 +1,15 @@
 """Command-line front end: construct, color, detach, verify, sweep.
 
 Exit codes: 0 success/certified, 2 infeasible or failed verification,
-1 internal or detachment error, 64 usage error. Output is deterministic for a fixed
-(argv, seed): JSON is emitted with sorted keys, DOT in a fixed order.
+1 internal or detachment error, 64 usage error. Nothing is random, so
+one argv always prints the same bytes: JSON is emitted with sorted keys,
+DOT in a fixed order.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -103,13 +105,14 @@ def _load_json(path: str):
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_r(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str = "factor degree list") -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise _UsageError(f"bad factor degree list {text!r}") from exc
+        raise _UsageError(f"bad {what} {text!r}") from exc
 
 
+@functools.cache  # one parser per process; parsing never changes it
 def build_parser() -> _Parser:
     parser = _Parser(prog="amalgam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,7 +121,6 @@ def build_parser() -> _Parser:
     dsub = dec.add_subparsers(dest="target", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "dot"], default="json")
 
@@ -164,7 +166,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detach", help="split a colored graph per a multiplicity map")
     p.add_argument("input", help="JSON file with graph + coloring")
     p.add_argument("--eta", required=True, help="JSON file: per-vertex split counts")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="check a decomposition certificate")
@@ -176,26 +177,23 @@ def build_parser() -> _Parser:
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--lambda-max", dest="lam_max", type=int, default=3)
     p.add_argument("--mu-max", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     return parser
 
 
 def _cmd_decompose(args) -> int:
     if args.target == "complete":
-        cert = ham_decompose_complete(args.n, args.lam, seed=args.seed)
+        cert = ham_decompose_complete(args.n, args.lam)
     elif args.target == "multipartite":
-        cert = ham_decompose_multipartite(
-            args.n, args.m, args.lam, fair=args.fair, seed=args.seed
-        )
+        cert = ham_decompose_multipartite(args.n, args.m, args.lam, fair=args.fair)
     elif args.target == "two-class":
-        cert = decompose_two_class(args.n, args.m, args.lam, args.mu, seed=args.seed)
+        cert = decompose_two_class(args.n, args.m, args.lam, args.mu)
     elif args.target == "factorize":
-        r = _parse_r(args.r)
+        r = _parse_ints(args.r)
         if args.m > 1:
-            cert = factorize_multipartite(args.n, args.m, args.lam, r, seed=args.seed)
+            cert = factorize_multipartite(args.n, args.m, args.lam, r)
         else:
-            cert = factorize_complete(args.n, args.lam, r, seed=args.seed)
+            cert = factorize_complete(args.n, args.lam, r)
     else:  # embed
         obj = _load_json(args.base)
         try:
@@ -204,11 +202,9 @@ def _cmd_decompose(args) -> int:
         except (KeyError, TypeError, GraphUsageError) as exc:
             raise _UsageError(f"malformed base file: {exc}") from exc
         if args.r is not None:
-            cert = embed_factorization(
-                base, coloring, args.n, _parse_r(args.r), seed=args.seed
-            )
+            cert = embed_factorization(base, coloring, args.n, _parse_ints(args.r))
         else:
-            cert = embed_complete_paths(base, coloring, args.n, seed=args.seed)
+            cert = embed_complete_paths(base, coloring, args.n)
     if args.format == "dot":
         _write_text(certificate_to_dot(cert), args.out)
     else:
@@ -221,7 +217,7 @@ def _cmd_color(args) -> int:
     if args.mode == "bee":
         if args.left is None:
             raise _UsageError("bee mode requires --left")
-        left = {int(v) for v in args.left.split(",")} if args.left else set()
+        left = set(_parse_ints(args.left, "vertex list")) if args.left else set()
         coloring = bee_coloring(g, left, args.k)
     else:
         coloring = evenly_equitable_coloring(g, args.k)
@@ -238,7 +234,7 @@ def _cmd_detach(args) -> int:
         eta = [int(x) for x in eta]
     except (KeyError, TypeError, ValueError, GraphUsageError) as exc:
         raise _UsageError(f"malformed input: {exc}") from exc
-    result = detach(g, coloring, eta, seed=args.seed)
+    result = detach(g, coloring, eta)
     _dump(
         {
             "graph": graph_to_json(result.g),
@@ -263,14 +259,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rows = []
-    cell = 0
     for n in range(1, args.n_max + 1):
         for m in range(2, args.m_max + 1):
             for lam in range(0, args.lam_max + 1):
                 for mu in range(1, args.mu_max + 1):
                     if lam == mu:
                         continue
-                    cell += 1
                     req = DecompositionRequest("two-class", n=n, m=m, lam=lam, mu=mu)
                     report = check_feasibility(req)
                     row = {"n": n, "m": m, "lambda": lam, "mu": mu}
@@ -280,7 +274,7 @@ def _cmd_sweep(args) -> int:
                         continue
                     t0 = time.perf_counter()
                     try:
-                        cert = decompose_two_class(n, m, lam, mu, seed=args.seed + cell)
+                        cert = decompose_two_class(n, m, lam, mu)
                     except InfeasibleError as exc:
                         row.update(status="infeasible", violations=exc.report.violations)
                         rows.append(row)

@@ -341,9 +341,7 @@ def walecki_direct(n: int, lam: int) -> DecompositionCertificate:
 # Fused-graph builders for complete hosts
 
 
-def _detach_loop_classes(
-    nv: int, class_loops: Sequence[int], seed: int
-) -> tuple[Multigraph, EdgeColoring]:
+def _detach_loop_classes(nv: int, class_loops: Sequence[int]) -> tuple[Multigraph, EdgeColoring]:
     """Split one all-loop vertex into nv vertices, one class per entry.
 
     Class j receives ``class_loops[j]`` loops; the result is an
@@ -356,7 +354,7 @@ def _detach_loop_classes(
     for j, cnt in enumerate(class_loops, start=1):
         colors += [j] * cnt
     coloring = EdgeColoring(len(class_loops), tuple(colors))
-    result = detach(h, coloring, [nv], seed=seed)
+    result = detach(h, coloring, [nv])
     return result.g, result.coloring
 
 
@@ -392,30 +390,28 @@ def _hamiltonian_classes(
 
 
 def _complete_classes(
-    n: int, r: Sequence[int], roles: Sequence[str], rs: Sequence[int] | None, seed: int
+    n: int, r: Sequence[int], roles: Sequence[str], rs: Sequence[int] | None
 ) -> tuple[ClassClaim, ...]:
     """Claims of K_n's factors of degrees r: one loop vertex detached to n."""
     if not r:
         return ()
-    g, coloring = _detach_loop_classes(n, [n * ri // 2 for ri in r], seed)
+    g, coloring = _detach_loop_classes(n, [n * ri // 2 for ri in r])
     return _claims_from_coloring(g, coloring, roles, rs)
 
 
-def ham_decompose_complete(n: int, lam: int, seed: int = 0) -> DecompositionCertificate:
+def ham_decompose_complete(n: int, lam: int) -> DecompositionCertificate:
     """Hamiltonian decomposition of lambda-fold K_n via the fused-graph route."""
     _ensure_feasible(_complete_feasibility(n, lam))
     r, roles = _hamiltonian_classes(lam * (n - 1))
-    claims = _complete_classes(n, r, roles, None, seed)
+    claims = _complete_classes(n, r, roles, None)
     return _certified(DecompositionCertificate(complete_graph(n, lam), claims))
 
 
-def factorize_complete(
-    n: int, lam: int, r: Sequence[int], seed: int = 0
-) -> DecompositionCertificate:
+def factorize_complete(n: int, lam: int, r: Sequence[int]) -> DecompositionCertificate:
     """Split lambda-fold K_n into spanning regular factors of the given degrees."""
     r = tuple(r)
     _ensure_feasible(_factorization_feasibility(n, lam, r, per_vertex=n))
-    claims = _complete_classes(n, r, [ROLE_R_FACTOR] * len(r), r, seed)
+    claims = _complete_classes(n, r, [ROLE_R_FACTOR] * len(r), r)
     return _certified(DecompositionCertificate(complete_graph(n, lam), claims))
 
 
@@ -476,7 +472,7 @@ def _path_embedding_violations(
 
 def _embed(
     base: Multigraph, coloring: EdgeColoring, n: int, r: Sequence[int],
-    roles: Sequence[str], rs: Sequence[int] | None, seed: int,
+    roles: Sequence[str], rs: Sequence[int] | None,
 ) -> DecompositionCertificate:
     """Grow class j of a colored K_m into a factor of degree r[j] of K_{m+n}.
 
@@ -498,13 +494,13 @@ def _embed(
         colors += [j] * loops
     h = Multigraph(m + 1, tuple(edges))
     fused_coloring = EdgeColoring(coloring.k, tuple(colors))
-    result = detach(h, fused_coloring, [1] * m + [n], seed=seed)
+    result = detach(h, fused_coloring, [1] * m + [n])
     claims = _claims_from_coloring(result.g, result.coloring, roles, rs)
     return _certified(DecompositionCertificate(complete_graph(m + n, 1), claims))
 
 
 def embed_complete_paths(
-    base: Multigraph, base_coloring: EdgeColoring, n: int, seed: int = 0
+    base: Multigraph, base_coloring: EdgeColoring, n: int
 ) -> DecompositionCertificate:
     """Grow a path-per-class coloring of K_m into a Hamiltonian decomposition.
 
@@ -516,7 +512,7 @@ def embed_complete_paths(
     violations = _path_embedding_violations(base, base_coloring, n)
     _ensure_feasible(FeasibilityReport.violated(violations))
     r, roles = _hamiltonian_classes(base.vertex_count + n - 1)
-    return _embed(base, base_coloring, n, r, roles, None, seed)
+    return _embed(base, base_coloring, n, r, roles, None)
 
 
 def _factor_embedding_sigma(
@@ -581,11 +577,7 @@ def _assign_classes(k: int, compatible) -> list[int] | None:
 
 
 def embed_factorization(
-    base: Multigraph,
-    base_coloring: EdgeColoring,
-    n: int,
-    r: Sequence[int],
-    seed: int = 0,
+    base: Multigraph, base_coloring: EdgeColoring, n: int, r: Sequence[int]
 ) -> DecompositionCertificate:
     """Grow a colored K_m into a factorization of K_{m+n}.
 
@@ -597,7 +589,7 @@ def embed_factorization(
     violations, sigma = _factor_embedding_sigma(base, base_coloring, n, r)
     _ensure_feasible(FeasibilityReport.violated(violations))
     rs = [r[slot] for slot in sigma]
-    return _embed(base, base_coloring, n, rs, [ROLE_R_FACTOR] * len(rs), rs, seed)
+    return _embed(base, base_coloring, n, rs, [ROLE_R_FACTOR] * len(rs), rs)
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +598,13 @@ def embed_factorization(
 
 def _part_classes(
     h: Multigraph, coloring: EdgeColoring, n: int, m: int, roles: Sequence[str],
-    rs: Sequence[int] | None, seed: int,
+    rs: Sequence[int] | None,
 ) -> tuple[ClassClaim, ...]:
     """Claims after detaching each of h's m vertices into a part of n.
 
     The detached vertices of part p are relabeled p*n .. p*n+n-1.
     """
-    result = detach(h, coloring, [n] * m, seed=seed)
+    result = detach(h, coloring, [n] * m)
     relabel = {}
     for p in range(m):
         for idx, w in enumerate(sorted(result.labels[p])):
@@ -622,7 +614,6 @@ def _part_classes(
 
 def _multipartite_classes(
     n: int, m: int, r: Sequence[int], roles: Sequence[str], rs: Sequence[int] | None,
-    seed: int,
 ) -> tuple[ClassClaim, ...]:
     """Claims of the factors of degrees r of a complete multipartite host.
 
@@ -634,12 +625,12 @@ def _multipartite_classes(
     """
     if not r:
         return ()
-    g1, col1 = _detach_loop_classes(m, [m * n * ri // 2 for ri in r], seed)
-    return _part_classes(g1, col1, n, m, roles, rs, seed + 1)
+    g1, col1 = _detach_loop_classes(m, [m * n * ri // 2 for ri in r])
+    return _part_classes(g1, col1, n, m, roles, rs)
 
 
 def ham_decompose_multipartite(
-    n: int, m: int, lam: int, fair: bool = False, seed: int = 0
+    n: int, m: int, lam: int, fair: bool = False
 ) -> DecompositionCertificate:
     """Hamiltonian decomposition of the lambda-fold complete multipartite graph.
 
@@ -649,20 +640,18 @@ def ham_decompose_multipartite(
     r, roles = _hamiltonian_classes(
         lam * n * (m - 1), ROLE_FAIR_HAMILTONIAN if fair else ROLE_HAMILTONIAN
     )
-    claims = _multipartite_classes(n, m, r, roles, None, seed)
+    claims = _multipartite_classes(n, m, r, roles, None)
     host = two_class_graph(n, m, 0, lam)
     return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
 
 
-def factorize_multipartite(
-    n: int, m: int, lam: int, r: Sequence[int], seed: int = 0
-) -> DecompositionCertificate:
+def factorize_multipartite(n: int, m: int, lam: int, r: Sequence[int]) -> DecompositionCertificate:
     """Regular factors of the lambda-fold complete multipartite graph."""
     r = tuple(r)
     _ensure_feasible(_factorization_feasibility(
         n * m, lam, r, per_vertex=n * m, degree=lam * n * (m - 1)
     ))
-    claims = _multipartite_classes(n, m, r, [ROLE_R_FACTOR] * len(r), r, seed)
+    claims = _multipartite_classes(n, m, r, [ROLE_R_FACTOR] * len(r), r)
     host = two_class_graph(n, m, 0, lam)
     return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
 
@@ -731,33 +720,31 @@ def _two_class_coloring(
     return h, coloring
 
 
-def _two_class_claims(
-    n: int, m: int, lam: int, mu: int, degree: int, seed: int
-) -> tuple[ClassClaim, ...]:
+def _two_class_claims(n: int, m: int, lam: int, mu: int, degree: int) -> tuple[ClassClaim, ...]:
     """Claims of a feasible two-multiplicity host of the given degree.
 
     Shapes whose host is complete or multipartite are built as such.
     """
     r, roles = _hamiltonian_classes(degree)
     if m == 1:
-        return _complete_classes(n, r, roles, None, seed)
+        return _complete_classes(n, r, roles, None)
     if n == 1:
-        return _complete_classes(m, r, roles, None, seed)
+        return _complete_classes(m, r, roles, None)
     if lam == mu:
-        return _complete_classes(n * m, r, roles, None, seed)
+        return _complete_classes(n * m, r, roles, None)
     if lam == 0:
-        return _multipartite_classes(n, m, r, roles, None, seed)
+        return _multipartite_classes(n, m, r, roles, None)
     if degree % 2 and n == 2:
         # peel one intra-part matching; the remainder has even degree
         matching = tuple((2 * p, 2 * p + 1) for p in range(m))
-        inner = _two_class_claims(2, m, lam - 1, mu, degree - 1, seed)
+        inner = _two_class_claims(2, m, lam - 1, mu, degree - 1)
         return inner + (ClassClaim(ROLE_ONE_FACTOR, matching),)
     h, coloring = _two_class_coloring(n, m, lam, mu, degree)
-    return _part_classes(h, coloring, n, m, roles, None, seed)
+    return _part_classes(h, coloring, n, m, roles, None)
 
 
 def _two_class_certificate(
-    n: int, m: int, lam: int, mu: int, seed: int, odd: bool
+    n: int, m: int, lam: int, mu: int, odd: bool
 ) -> DecompositionCertificate:
     """Certified two-class decomposition; ``odd`` is the degree parity required."""
     report = _two_class_feasibility(n, m, lam, mu, None)
@@ -766,30 +753,24 @@ def _two_class_certificate(
         report.feasible = False
         report.violations.append(f"(ii) degree {degree} is {'even' if odd else 'odd'}")
     _ensure_feasible(report)
-    claims = _two_class_claims(n, m, lam, mu, degree, seed)
+    claims = _two_class_claims(n, m, lam, mu, degree)
     host = two_class_graph(n, m, lam, mu)
     return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
 
 
-def ham_decompose_two_class(
-    n: int, m: int, lam: int, mu: int, seed: int = 0
-) -> DecompositionCertificate:
+def ham_decompose_two_class(n: int, m: int, lam: int, mu: int) -> DecompositionCertificate:
     """Hamiltonian decomposition of the even-degree two-multiplicity host."""
-    return _two_class_certificate(n, m, lam, mu, seed, odd=False)
+    return _two_class_certificate(n, m, lam, mu, odd=False)
 
 
-def ham_plus_one_factor_two_class(
-    n: int, m: int, lam: int, mu: int, seed: int = 0
-) -> DecompositionCertificate:
+def ham_plus_one_factor_two_class(n: int, m: int, lam: int, mu: int) -> DecompositionCertificate:
     """Odd-degree two-multiplicity host: Hamiltonian cycles plus one 1-factor."""
-    return _two_class_certificate(n, m, lam, mu, seed, odd=True)
+    return _two_class_certificate(n, m, lam, mu, odd=True)
 
 
-def decompose_two_class(
-    n: int, m: int, lam: int, mu: int, seed: int = 0
-) -> DecompositionCertificate:
+def decompose_two_class(n: int, m: int, lam: int, mu: int) -> DecompositionCertificate:
     """Parity-dispatching front door for two-multiplicity hosts."""
     degree = lam * (n - 1) + mu * n * (m - 1)
     if degree % 2:
-        return ham_plus_one_factor_two_class(n, m, lam, mu, seed)
-    return ham_decompose_two_class(n, m, lam, mu, seed)
+        return ham_plus_one_factor_two_class(n, m, lam, mu)
+    return ham_decompose_two_class(n, m, lam, mu)

@@ -7,25 +7,24 @@ the fresh vertex. Every count is held inside its floor/ceil quota window
 -- per cell, per color, per neighbor, and in total -- by a feasible
 integral circulation, which yields the degree and multiplicity quotas.
 
-A color class's component structure after the split depends only on
-those counts, because parallel edges to the same neighbor are
-interchangeable. Color classes whose per-vertex degree shares are even
-must also keep their component count. The split search is flow-guided
-and fail-first: it solves one circulation for all cells and accepts it
-as soon as every such color's row in it keeps its components. Otherwise
-it searches the rows of the first color whose row breaks a component,
-trying the flow's value first in each cell, re-solves the circulation
-with that row fixed, and goes on from the new flow with the colors left.
+Color classes whose per-vertex degree shares are even must also keep
+their component count. Each vertex then has even degree in such a
+class, so each of the class's groups at u (a component of its edges
+away from u) meets u in an even number of slots, at least two. The
+circulation holds each group's count in its own floor/ceil window too,
+so every group keeps a slot at u and the fresh vertex gets one: every
+feasible circulation keeps the components, and one circulation per
+split is the whole construction (``_SplitCounts`` gives the argument).
+Nothing is searched or retried.
 
-The output is gated by ``verify_detachment``; construction retries with
-shuffled search orders before giving up, and the error it then raises
-names the vertex, split and color where the search got stuck.
+A per-split guard re-checks the component counts, and the output is
+gated by ``verify_detachment``; a split that fails raises
+``DetachmentError`` naming its vertex, split and color.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,7 +39,6 @@ from .multigraph import (
 )
 
 _LOOP = -1  # neighbor key for loop endpoints
-_MAX_ATTEMPTS = 40  # construction attempts, the later ones with shuffled search orders
 
 
 class DetachmentContractError(ValueError):
@@ -50,12 +48,11 @@ class DetachmentContractError(ValueError):
 class DetachmentError(RuntimeError):
     """Construction failed to satisfy the detachment properties.
 
-    When the split search gave up, the error names where: the fused
-    ``vertex``, the split ``delta`` (its copies still to be made), the
-    qualifying ``color`` whose row search failed (None if the quota
-    windows alone admitted no circulation) and the search ``nodes`` of
-    the last attempt. All four are None when the verifier rejected the
-    output instead.
+    When a split failed, the error names where: the fused ``vertex``,
+    the split ``delta`` (its copies still to be made) and the qualifying
+    ``color`` whose row broke a component (None if the quota windows
+    admitted no circulation). All three are None when the verifier
+    rejected the output instead.
     """
 
     def __init__(
@@ -64,21 +61,17 @@ class DetachmentError(RuntimeError):
         vertex: int | None = None,
         delta: int | None = None,
         color: int | None = None,
-        nodes: int | None = None,
     ):
         message = f"detachment failed properties: {', '.join(violated)}"
         if vertex is not None:
-            message += (
-                f" at vertex {vertex}, split delta={delta}, "
-                + (f"color {color}" if color is not None else "no color")
-                + f", {nodes} search nodes in the last attempt"
+            message += f" at vertex {vertex}, split delta={delta}, " + (
+                f"color {color}" if color is not None else "no color"
             )
         super().__init__(message)
         self.violated = violated
         self.vertex = vertex
         self.delta = delta
         self.color = color
-        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -138,9 +131,7 @@ def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int])
     return out
 
 
-def detach(
-    h: Multigraph, coloring: EdgeColoring, eta: Sequence[int], seed: int = 0
-) -> DetachmentResult:
+def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> DetachmentResult:
     """Loopless eta-detachment satisfying the degree/multiplicity/component quotas."""
     if len(eta) != h.vertex_count:
         raise DetachmentContractError("eta must be total on V(H)")
@@ -153,57 +144,24 @@ def detach(
             raise DetachmentContractError(f"eta({v})=1 but vertex {v} has loops")
 
     quals = qualifying_colors(h, coloring, eta)
-    last_report = None
-    stuck = None
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = random.Random(seed * 1000003 + attempt)
-        result = _detach_once(h, coloring, tuple(eta), quals, attempt, rng)
-        if isinstance(result, DetachmentError):
-            stuck = result
-            continue
-        report = verify_detachment(h, coloring, result)
-        if report.all_passed:
-            return result
-        last_report = report
-    if last_report is None:
-        raise stuck or DetachmentError(["construction"])  # no attempt at all
-    raise DetachmentError([name for name, ok in last_report.properties.items() if not ok])
-
-
-def _detach_once(
-    h: Multigraph,
-    coloring: EdgeColoring,
-    eta: tuple[int, ...],
-    quals: list[int],
-    attempt: int,
-    rng: random.Random,
-) -> DetachmentResult | DetachmentError:
-    """One construction attempt; a split the search gave up on is returned as the error."""
     endpoints = [list(pair) for pair in h.edges]
-    colors = coloring.colors
     phi = list(range(h.vertex_count))
     labels: dict[int, list[int]] = {v: [] for v in range(h.vertex_count)}
-    remaining = list(eta)
     vertex_count = h.vertex_count
-
     for u in range(h.vertex_count):
-        while remaining[u] > 1:
-            delta = remaining[u]
-            stuck = _split_vertex(
-                endpoints, colors, vertex_count, u, delta, quals, attempt, rng
-            )
-            if stuck is not None:
-                return stuck
-            new_vertex = vertex_count
+        for delta in range(eta[u], 1, -1):
+            _split_vertex(endpoints, coloring.colors, vertex_count, u, delta, quals)
+            phi.append(u)
+            labels[u].append(vertex_count)
             vertex_count += 1
-            phi.append(phi[u])
-            labels[u].append(new_vertex)
-            remaining[u] -= 1
         labels[u].append(u)
 
     g = Multigraph(vertex_count, tuple((a, b) for a, b in endpoints))
-    spec = AmalgamationSpec(eta, tuple(phi))
-    return DetachmentResult(g, EdgeColoring(coloring.k, colors), spec, labels)
+    result = DetachmentResult(g, coloring, AmalgamationSpec(tuple(eta), tuple(phi)), labels)
+    report = verify_detachment(h, coloring, result)
+    if not report.all_passed:
+        raise DetachmentError([name for name, ok in report.properties.items() if not ok])
+    return result
 
 
 def _split_vertex(
@@ -213,30 +171,19 @@ def _split_vertex(
     u: int,
     delta: int,
     quals: list[int],
-    attempt: int,
-    rng: random.Random,
-) -> DetachmentError | None:
+) -> None:
     """Move a quota share of u's endpoint slots onto a fresh vertex.
 
-    Mutates ``endpoints`` in place on success (new vertex id is
-    ``vertex_count``) and returns None. If no component-preserving count
-    assignment was found within this attempt's search budget, returns
-    the error that names the split.
+    Mutates ``endpoints`` in place; the new vertex id is ``vertex_count``.
     """
     counts = _SplitCounts(endpoints, colors, vertex_count, u, delta, quals)
     if not counts.cell_slots:
-        return None  # isolated vertex splits into isolated vertices
-    assignment = counts.solve(attempt, rng)
-    if assignment is None:
-        return DetachmentError(
-            ["construction"], vertex=u, delta=delta, color=counts.stuck_color,
-            nodes=counts.nodes,
-        )
+        return  # isolated vertex splits into isolated vertices
 
     # a cell's slots are parallel edges of one color, so which of them move
-    # only permutes edge ids and never changes a later split search
+    # only permutes edge ids and never changes a later split
     new_vertex = vertex_count
-    for cell, take in assignment.items():
+    for cell, take in counts.solve().items():
         slots = counts.cell_slots[cell]
         if cell[1] == _LOOP:
             # one endpoint per loop, never both, so no loop survives at the end
@@ -246,38 +193,35 @@ def _split_vertex(
             moved = slots[:take]
         for eid, end in moved:
             endpoints[eid][end] = new_vertex
-    return None
-
-
-class _OutOfBudget(Exception):
-    """The split search spent its node budget while searching a color's rows."""
 
 
 class _SplitCounts:
-    """Flow-guided, fail-first search for the per-cell move counts of one split.
+    """The per-cell move counts of one split, from one circulation.
 
     Windows: each cell, each color (row sum), each neighbor (column sum)
     and the grand total must land in [floor(size/delta), ceil(size/delta)].
     Joint feasibility across colors is a circulation on the color/neighbor
-    bipartite graph. A qualifying color (even degree shares) must also
-    keep its component count, which depends only on its row of counts.
+    bipartite graph.
 
-    The search keeps one feasible circulation that honours every row
-    fixed so far. At each level it tests the row each remaining
-    qualifying color has in that flow: if all keep their components, the
-    flow is the answer (accept early). Otherwise it searches the rows of
-    the first color that fails (fail first), trying the flow's value
-    first in each cell; a row that keeps the components is fixed, the
-    circulation is solved again with it, and the next level starts from
-    that flow. Every row inside the windows is still tried, so no
-    feasible split is lost; ``budget`` caps the search nodes.
+    A qualifying color j must also keep its component count. Every vertex
+    has even j-degree at every split: an unsplit vertex v has an even
+    multiple of eta(v), and u and every copy made so far an even share.
+    So each group of j -- a component of j's edges away from u -- meets u
+    in an even number S_g >= 2 of slots. Each group with two or more
+    cells gets one more arc, between j's row and those cells, with window
+    [floor(S_g/delta), ceil(S_g/delta)]; a one-cell group's window is
+    already its cell's. The windows nest (cells in groups in rows), and
+    size/delta on every arc is a fractional circulation, so an integral
+    one always exists. In any of them a group moves at most
+    ceil(S_g/delta) <= S_g - 1 of its slots and so keeps one at u, and
+    j's row moves at least one slot, so the fresh vertex joins u's
+    component and every component of j survives. ``keeps_components``
+    re-checks this on the circulation as a guard.
 
     The component test costs O(row): the color class with u's edges
-    removed is merged once per split, and a candidate row only unions u,
-    the fresh vertex w and the roots of u's neighbours.
+    removed is merged once per split, and a row only unions u, the fresh
+    vertex w and the roots of u's neighbours.
     """
-
-    budget = 20_000
 
     def __init__(self, endpoints, colors, vertex_count, u, delta, quals):
         self.u = u
@@ -315,16 +259,14 @@ class _SplitCounts:
             j: self._component_state(vertex_count, away[j], self.cells_of[j])
             for j in self.quals
         }
-        self.nodes = 0
-        self.stuck_color: int | None = None
 
     def _component_state(self, vertex_count, away, cells):
-        """Per-color data for ``keeps_components``.
+        """Per-color data for ``keeps_components`` and the group windows.
 
         Returns the component count before the split, the components
         that u's edges do not reach, a map from each neighbor of u to a
-        small id of its component once u's edges are removed, and the
-        number of those ids.
+        small id of its group (its component once u's edges are
+        removed), and the number of groups.
         """
         u = self.u
         before = edge_component_count(
@@ -368,113 +310,65 @@ class _SplitCounts:
     def _window(self, size: int) -> tuple[int, int]:
         return size // self.delta, -(-size // self.delta)
 
-    def _circulation(self, fixed: dict[tuple[int, int], int]):
-        """Counts for every cell, honoring ``fixed`` rows, or None."""
+    def _groups(self, j: int) -> list[list[int]]:
+        """Color j's groups of two or more cells, as lists of neighbors."""
+        node_of = self._components[j][2]
+        groups: dict[int, list[int]] = {}
+        for z in self.cells_of[j]:
+            if z != _LOOP:
+                groups.setdefault(node_of[z], []).append(z)
+        return [cells for cells in groups.values() if len(cells) > 1]
+
+    def _circulation(self):
+        """Counts for every cell inside every window, or None."""
         src, snk = 0, 1
         color_node = {c: 2 + i for i, c in enumerate(self.color_ids)}
         nbr_node = {
             z: 2 + len(self.color_ids) + i for i, z in enumerate(self.neighbor_ids)
         }
+        node_count = 2 + len(self.color_ids) + len(self.neighbor_ids)
         arcs: list[tuple[int, int, int, int]] = []
         cell_arc: dict[tuple[int, int], int] = {}
         for c in self.color_ids:
             lo, hi = self._window(self.color_sizes[c])
             arcs.append((src, color_node[c], lo, hi))
+        # a group's cells leave from one node under its color's row
+        cell_tail = {}
+        for j in self.quals:
+            for cells in self._groups(j):
+                size = sum(self.cell_sizes[(j, z)] for z in cells)
+                arcs.append((color_node[j], node_count, *self._window(size)))
+                for z in cells:
+                    cell_tail[(j, z)] = node_count
+                node_count += 1
         for cell in sorted(self.cell_sizes):
             c, z = cell
-            if cell in fixed:
-                lo = hi = fixed[cell]
-            else:
-                lo, hi = self._window(self.cell_sizes[cell])
             cell_arc[cell] = len(arcs)
-            arcs.append((color_node[c], nbr_node[z], lo, hi))
+            tail = cell_tail.get(cell, color_node[c])
+            arcs.append((tail, nbr_node[z], *self._window(self.cell_sizes[cell])))
         for z in self.neighbor_ids:
             lo, hi = self._window(self.neighbor_sizes[z])
             arcs.append((nbr_node[z], snk, lo, hi))
         arcs.append((snk, src, *self._window(self.total)))
-        flow = feasible_circulation(2 + len(self.color_ids) + len(self.neighbor_ids), arcs)
+        flow = feasible_circulation(node_count, arcs)
         if flow is None:
             return None
         return {cell: flow[idx] for cell, idx in cell_arc.items()}
 
-    def solve(self, attempt: int, rng: random.Random):
-        """Full count assignment, or None if the search gives up.
+    def solve(self) -> dict[tuple[int, int], int]:
+        """Counts for every cell: one circulation, then the component guard.
 
-        On None, ``stuck_color`` names the color whose row search failed:
-        where the budget ran out, or else the first color that failed.
+        Raises ``DetachmentError`` naming the split: with no color if the
+        windows admit no circulation, or with the first qualifying color
+        whose row breaks a component. The argument above rules out both.
         """
-        self.nodes = 0
-        self.stuck_color = None
-        flow = self._circulation({})
+        flow = self._circulation()
         if flow is None:
-            return None
-        try:
-            return self._settle(self.quals, {}, flow, attempt, rng)
-        except _OutOfBudget as exc:
-            self.stuck_color = exc.args[0]
-            return None
-
-    def _settle(self, pending, fixed, flow, attempt, rng):
-        """Extend ``flow``, which honours ``fixed``, until no pending color fails."""
-        j = next(
-            (
-                c for c in pending
-                if not self.keeps_components(c, {z: flow[(c, z)] for z in self.cells_of[c]})
-            ),
-            None,
-        )
-        if j is None:
-            return flow
-        rest = [c for c in pending if c != j]
-        cells = list(self.cells_of[j])
-        if attempt > 0:
-            rng.shuffle(cells)
-        target = self.color_sizes[j] // self.delta  # exact: delta divides
-        windows = [self._window(self.cell_sizes[(j, z)]) for z in cells]
-        suffix_hi = [0] * (len(cells) + 1)
-        suffix_lo = [0] * (len(cells) + 1)
-        for i in range(len(cells) - 1, -1, -1):
-            suffix_lo[i] = suffix_lo[i + 1] + windows[i][0]
-            suffix_hi[i] = suffix_hi[i + 1] + windows[i][1]
-        row: dict[int, int] = {}
-
-        def place_cell(ci: int, remaining: int):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _OutOfBudget(j)
-            if ci == len(cells):
-                # the flow's own row failed the test, so any row that passes needs a new solve
-                if remaining or not self.keeps_components(j, row):
-                    return None
-                for z in cells:
-                    fixed[(j, z)] = row[z]
-                new_flow = self._circulation(fixed)
-                found = None if new_flow is None else self._settle(
-                    rest, fixed, new_flow, attempt, rng
-                )
-                if found is None:
-                    for z in cells:
-                        del fixed[(j, z)]
-                return found
-            lo, hi = windows[ci]
-            lo = max(lo, remaining - suffix_hi[ci + 1])
-            hi = min(hi, remaining - suffix_lo[ci + 1])
-            values = list(range(lo, hi + 1))
-            if attempt > 0:
-                rng.shuffle(values)
-            values.sort(key=lambda x: x != flow[(j, cells[ci])])  # the flow's value first
-            for x in values:
-                row[cells[ci]] = x
-                found = place_cell(ci + 1, remaining - x)
-                if found is not None:
-                    return found
-            row.pop(cells[ci], None)
-            return None
-
-        found = place_cell(0, target)
-        if found is None:
-            self.stuck_color = j  # every row of j failed; the outermost level reports last
-        return found
+            raise DetachmentError(["construction"], vertex=self.u, delta=self.delta)
+        for j in self.quals:
+            if not self.keeps_components(j, {z: flow[(j, z)] for z in self.cells_of[j]}):
+                raise DetachmentError(["construction"], vertex=self.u, delta=self.delta, color=j)
+        return flow
 
 
 # ---------------------------------------------------------------------------

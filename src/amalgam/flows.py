@@ -1,8 +1,7 @@
 """Small integral max-flow kernel and feasible circulations with lower bounds.
 
 Deliberately minimal. Its heaviest caller is ``detach``: every vertex
-split solves the circulation of its quota windows, and solves it again
-each time the split search fixes a color's row. The laminar quota
+split solves one circulation of its quota windows. The laminar quota
 selection and the Euler-orientation splitting of the coloring engines
 use it too. Not a general flow library.
 """

@@ -7,18 +7,26 @@ import random
 from amalgam import EdgeColoring, Multigraph
 
 
-def random_detachment_instance(rng: random.Random):
+def random_detachment_instance(
+    rng: random.Random,
+    *,
+    max_vertices: int = 5,
+    max_eta: int = 4,
+    max_colors: int = 4,
+):
     """Random fused graph + coloring + eta within the stress-suite bounds.
 
+    The keyword arguments bound the fused vertex count, eta and the color
+    count; the defaults are the stress-suite bounds.
     A prefix of the colors is arranged to satisfy the evenness hypothesis
     (degree divisible by 2*eta(v) everywhere) so that the component-
     preservation property is exercised, the rest are unconstrained.
     Returns None when a draw violates the no-loop-at-unsplit-vertex
     precondition or the size bounds; callers redraw.
     """
-    nv = rng.randint(1, 5)
-    eta = [rng.randint(1, 4) for _ in range(nv)]
-    k = rng.randint(1, 4)
+    nv = rng.randint(1, max_vertices)
+    eta = [rng.randint(1, max_eta) for _ in range(nv)]
+    k = rng.randint(1, max_colors)
     nqual = rng.randint(1, k)
     edges: list[tuple[int, int]] = []
     colors: list[int] = []

@@ -235,7 +235,7 @@ def test_criterion_6_detachment_500_instances():
         if inst is None:
             continue
         h, coloring, eta = inst
-        result = detach(h, coloring, eta, seed=done)
+        result = detach(h, coloring, eta)
         report = verify_detachment(h, coloring, result)
         assert report.all_passed, (h.edges, coloring.colors, eta, report.properties)
         done += 1

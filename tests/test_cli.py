@@ -13,7 +13,7 @@ from amalgam import (
     verify_bee,
     verify_evenly_equitable,
 )
-from amalgam.cli import run
+from amalgam.cli import build_parser, run
 
 
 def run_cli(capsys, *argv):
@@ -71,7 +71,7 @@ def test_verify_failing_certificate_exit_2(tmp_path, capsys):
 
 def test_byte_identical_output_for_same_argv(capsys):
     argv = ["decompose", "two-class", "--n", "2", "--m", "3", "--lambda", "2",
-            "--mu", "1", "--seed", "4"]
+            "--mu", "1"]
     _, first = run_cli(capsys, *argv)
     _, second = run_cli(capsys, *argv)
     assert first == second
@@ -109,6 +109,17 @@ def test_color_bee_and_even(tmp_path, capsys):
     assert run(["color", str(f), "--mode", "bee", "-k", "2"]) == 64
 
 
+def test_color_bee_bad_left_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(graph_to_json(complete_graph(3))))
+    assert run(["color", str(f), "--mode", "bee", "-k", "2", "--left", "a"]) == 64
+    assert capsys.readouterr().err == "usage error: bad vertex list 'a'\n"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_detach_command(tmp_path, capsys):
     h = Multigraph(1, ((0, 0),) * 6)
     payload = {
@@ -119,7 +130,7 @@ def test_detach_command(tmp_path, capsys):
     inp.write_text(json.dumps(payload))
     eta = tmp_path / "eta.json"
     eta.write_text("[4]")
-    code, out = run_cli(capsys, "detach", str(inp), "--eta", str(eta), "--seed", "3")
+    code, out = run_cli(capsys, "detach", str(inp), "--eta", str(eta))
     assert code == 0
     obj = json.loads(out)
     assert obj["graph"]["vertices"] == 4
@@ -132,13 +143,8 @@ def test_detach_command(tmp_path, capsys):
 
 
 def test_detach_failure_names_its_location(tmp_path, capsys, monkeypatch):
-    from amalgam.detachment import _SplitCounts
+    import amalgam.detachment as detachment
 
-    def stuck(self, attempt, rng):
-        self.stuck_color, self.nodes = 1, 7
-        return None
-
-    monkeypatch.setattr(_SplitCounts, "solve", stuck)
     payload = {
         "graph": graph_to_json(Multigraph(1, ((0, 0),) * 3)),
         "coloring": coloring_to_json(EdgeColoring(1, (1, 1, 1))),
@@ -147,10 +153,16 @@ def test_detach_failure_names_its_location(tmp_path, capsys, monkeypatch):
     inp.write_text(json.dumps(payload))
     eta = tmp_path / "eta.json"
     eta.write_text("[3]")
+    # the per-split guard rejects a row, then the windows admit no circulation
+    monkeypatch.setattr(detachment._SplitCounts, "keeps_components", lambda *args: False)
     assert run(["detach", str(inp), "--eta", str(eta)]) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
-    assert "construction at vertex 0, split delta=3, color 1, 7 search nodes" in err
+    assert err.endswith("construction at vertex 0, split delta=3, color 1\n")
+    monkeypatch.setattr(detachment, "feasible_circulation", lambda *args: None)
+    assert run(["detach", str(inp), "--eta", str(eta)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("construction at vertex 0, split delta=3, no color\n")
 
 
 def test_sweep_marks_infeasible_cells(capsys):
@@ -167,7 +179,7 @@ def test_sweep_marks_infeasible_cells(capsys):
 
 @pytest.mark.slow
 def test_wide_sweep_grid(tmp_path):
-    # the wide two-class grid; about half a minute
+    # the wide two-class grid; about ten seconds
     target = tmp_path / "sweep.json"
     code = run(["sweep", "--n-max", "6", "--m-max", "5", "--lambda-max", "4",
                 "--mu-max", "4", "--out", str(target)])

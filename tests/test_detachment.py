@@ -111,7 +111,7 @@ def test_reamalgamation_recovers_h():
         if inst is None:
             continue
         h, coloring, eta = inst
-        result = detach(h, coloring, eta, seed=done)
+        result = detach(h, coloring, eta)
         back, _ = amalgamate(result.g, list(result.spec.phi))
         assert back.edge_count == h.edge_count
         norm = lambda g: sorted((min(a, b), max(a, b)) for a, b in g.edges)
@@ -119,12 +119,12 @@ def test_reamalgamation_recovers_h():
         done += 1
 
 
-def test_determinism_under_fixed_seed():
+def test_repeat_calls_are_deterministic():
     h = Multigraph(2, ((0, 0), (0, 0), (0, 1), (0, 1), (1, 1), (0, 0)))
     coloring = EdgeColoring(2, (1, 1, 2, 2, 2, 2))
-    first = detach(h, coloring, [3, 2], seed=5)
+    first = detach(h, coloring, [3, 2])
     for _ in range(3):
-        again = detach(h, coloring, [3, 2], seed=5)
+        again = detach(h, coloring, [3, 2])
         assert again.g.edges == first.g.edges
         assert again.spec == first.spec
 
@@ -137,7 +137,7 @@ def test_random_instances_pass_all_properties():
         if inst is None:
             continue
         h, coloring, eta = inst
-        result = detach(h, coloring, eta, seed=done)
+        result = detach(h, coloring, eta)
         report = verify_detachment(h, coloring, result)
         assert report.all_passed, (h.edges, coloring.colors, eta, report.properties)
         done += 1
@@ -193,10 +193,7 @@ def test_component_test_matches_rebuilt_edge_lists():
                             counts.cell_sizes, j, row,
                         ), (h.edges, coloring.colors, eta, u, delta, j, row)
                         rows_checked += 1
-                stuck = _split_vertex(
-                    endpoints, coloring.colors, vertex_count, u, delta, quals, 0, rng
-                )
-                assert stuck is None
+                _split_vertex(endpoints, coloring.colors, vertex_count, u, delta, quals)
                 vertex_count += 1
         done += 1
     assert rows_checked > 1000
@@ -206,43 +203,71 @@ def test_complete_41_certifies():
     assert certify(ham_decompose_complete(41, 1)).passed
 
 
-@pytest.mark.parametrize("n,m,lam,mu", [(4, 3, 0, 3), (6, 6, 2, 1)])
+@pytest.mark.parametrize("n,m,lam,mu", [(4, 3, 0, 3), (6, 6, 2, 1), (4, 5, 0, 4)])
 def test_two_class_splits_certify(n, m, lam, mu):
     assert certify(decompose_two_class(n, m, lam, mu)).passed
 
 
-def test_criterion_6_pool_needs_no_retry(monkeypatch):
-    # a retry happens only when a split search spends its whole budget
-    attempts = []
-    real = detachment._detach_once
+def test_one_circulation_per_split(monkeypatch):
+    # no search and no retry: each split that has cells solves one circulation
+    splits, circulations = [], []
+    real_init, real_circulation = _SplitCounts.__init__, detachment.feasible_circulation
 
-    def counted(*args):
-        attempts.append(1)
-        return real(*args)
+    def init(self, *args):
+        real_init(self, *args)
+        if self.cell_slots:
+            splits.append(self.u)
 
-    monkeypatch.setattr(detachment, "_detach_once", counted)
-    rng = random.Random(20240817)
+    def circulation(*args):
+        circulations.append(1)
+        return real_circulation(*args)
+
+    monkeypatch.setattr(_SplitCounts, "__init__", init)
+    monkeypatch.setattr(detachment, "feasible_circulation", circulation)
+    rng = random.Random(20240817)  # the criterion-6 pool
     done = 0
     while done < 500:
         inst = random_detachment_instance(rng)
         if inst is None:
             continue
-        h, coloring, eta = inst
-        detach(h, coloring, eta, seed=done)
+        detach(*inst)
         done += 1
-    assert len(attempts) == 500
+    assert len(splits) > 500 and len(circulations) == len(splits)
+    del splits[:], circulations[:]
+    assert certify(decompose_two_class(4, 5, 0, 4)).passed
+    assert len(splits) > 0 and len(circulations) == len(splits)
 
 
 def test_failed_search_names_vertex_split_and_color(monkeypatch):
-    def stuck(self, attempt, rng):
-        self.stuck_color, self.nodes = 1, 7
-        return None
-
-    monkeypatch.setattr(_SplitCounts, "solve", stuck)
     h = Multigraph(1, ((0, 0),) * 3)
+    coloring = EdgeColoring(1, (1, 1, 1))
+    # the per-split guard rejects a qualifying color's row
+    monkeypatch.setattr(_SplitCounts, "keeps_components", lambda self, j, row: False)
     with pytest.raises(DetachmentError) as info:
-        detach(h, EdgeColoring(1, (1, 1, 1)), [3])
+        detach(h, coloring, [3])
     err = info.value
     assert err.violated == ["construction"]
-    assert (err.vertex, err.delta, err.color, err.nodes) == (0, 3, 1, 7)
-    assert "vertex 0, split delta=3, color 1, 7 search nodes" in str(err)
+    assert (err.vertex, err.delta, err.color) == (0, 3, 1)
+    assert str(err).endswith("construction at vertex 0, split delta=3, color 1")
+    # the quota windows admit no circulation
+    monkeypatch.setattr(detachment, "feasible_circulation", lambda *args: None)
+    with pytest.raises(DetachmentError) as info:
+        detach(h, coloring, [3])
+    err = info.value
+    assert (err.vertex, err.delta, err.color) == (0, 3, None)
+    assert str(err).endswith("construction at vertex 0, split delta=3, no color")
+
+
+@pytest.mark.slow
+def test_beyond_bounds_stress():
+    # fused vertices <= 8, eta <= 6, k <= 6: past the stress-suite bounds
+    rng = random.Random(8)
+    done = 0
+    while done < 1000:
+        inst = random_detachment_instance(rng, max_vertices=8, max_eta=6, max_colors=6)
+        if inst is None:
+            continue
+        h, coloring, eta = inst
+        result = detach(h, coloring, eta)
+        assert verify_detachment(h, coloring, result).all_passed, (h.edges, coloring.colors, eta)
+        done += 1
