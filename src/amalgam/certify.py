@@ -19,6 +19,7 @@ from .multigraph import (
     complete_graph,
     graph_from_json,
     graph_to_json,
+    json_int,
     two_class_graph,
     two_class_parts,
 )
@@ -184,13 +185,12 @@ def host_from_json(obj: Mapping) -> Multigraph:
         return graph_from_json(obj)
     kind = obj.get("kind")
     if kind == "complete":
-        return complete_graph(int(obj["n"]), int(obj.get("lambda", 1)))
+        return complete_graph(json_int(obj["n"]), json_int(obj.get("lambda", 1)))
     if kind == "two-class":
-        return two_class_graph(
-            int(obj["n"]), int(obj["m"]), int(obj["lambda"]), int(obj["mu"])
-        )
+        return two_class_graph(*(json_int(obj[key]) for key in ("n", "m", "lambda", "mu")))
     if kind == "multipartite":
-        return two_class_graph(int(obj["n"]), int(obj["m"]), 0, int(obj.get("lambda", 1)))
+        n, m = json_int(obj["n"]), json_int(obj["m"])
+        return two_class_graph(n, m, 0, json_int(obj.get("lambda", 1)))
     raise GraphUsageError(f"unknown host kind {kind!r}")
 
 
@@ -200,14 +200,14 @@ def certificate_from_json(obj: Mapping) -> DecompositionCertificate:
         classes = tuple(
             ClassClaim(
                 role=str(c["role"]),
-                edges=tuple((int(a), int(b)) for a, b in c["edges"]),
-                r=int(c["r"]) if "r" in c else None,
+                edges=tuple((json_int(a), json_int(b)) for a, b in c["edges"]),
+                r=json_int(c["r"]) if "r" in c else None,
             )
             for c in obj["classes"]
         )
         parts = None
         if "parts" in obj and obj["parts"] is not None:
-            parts = tuple(tuple(int(v) for v in p) for p in obj["parts"])
+            parts = tuple(tuple(json_int(v) for v in p) for p in obj["parts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphUsageError(f"malformed certificate JSON: {exc}") from exc
     return DecompositionCertificate(host, classes, parts)

@@ -41,6 +41,7 @@ from .multigraph import (
     coloring_to_json,
     graph_from_json,
     graph_to_json,
+    json_int,
 )
 
 EXIT_OK = 0
@@ -231,7 +232,9 @@ def _cmd_detach(args) -> int:
     try:
         g = graph_from_json(obj["graph"])
         coloring = coloring_from_json(obj["coloring"])
-        eta = [int(x) for x in eta]
+        if type(eta) is not list:
+            raise GraphUsageError(f"eta must be a JSON list, got {eta!r}")
+        eta = [json_int(x) for x in eta]
     except (KeyError, TypeError, ValueError, GraphUsageError) as exc:
         raise _UsageError(f"malformed input: {exc}") from exc
     result = detach(g, coloring, eta)

@@ -219,8 +219,9 @@ class _SplitCounts:
     re-checks this on the circulation as a guard.
 
     The component test costs O(row): the color class with u's edges
-    removed is merged once per split, and a row only unions u, the fresh
-    vertex w and the roots of u's neighbours.
+    removed is merged into groups once per split, and the guard counts the
+    components of a quotient graph whose vertices are the groups, u and
+    the fresh vertex w, with one or two edges per cell of the row.
     """
 
     def __init__(self, endpoints, colors, vertex_count, u, delta, quals):
@@ -261,62 +262,48 @@ class _SplitCounts:
         }
 
     def _component_state(self, vertex_count, away, cells):
-        """Per-color data for ``keeps_components`` and the group windows.
-
-        Returns the component count before the split, the components
-        that u's edges do not reach, a map from each neighbor of u to a
-        small id of its group (its component once u's edges are
-        removed), and the number of groups.
-        """
-        u = self.u
-        before = edge_component_count(
-            away + [(u, u if z == _LOOP else z) for z in cells]
-        )
+        """Map each neighbor of u to a small id of its group (its component without u)."""
         uf = UnionFind(vertex_count)
-        touched = set()
         for a, b in away:
             uf.union(a, b)
-            touched.update((a, b))
-        node_of_root: dict[int, int] = {}
-        node_of: dict[int, int] = {}
-        for z in cells:
-            if z != _LOOP:
-                node_of[z] = node_of_root.setdefault(uf.find(z), len(node_of_root))
-        unreached = len({uf.find(x) for x in touched} - set(node_of_root))
-        return before, unreached, node_of, len(node_of_root)
+        group_of_root: dict[int, int] = {}
+        return {
+            z: group_of_root.setdefault(uf.find(z), len(group_of_root))
+            for z in cells
+            if z != _LOOP
+        }
 
     def keeps_components(self, j: int, row: dict[int, int]) -> bool:
-        """Would moving ``row`` of color j's slots keep its component count?"""
-        before, unreached, node_of, m = self._components[j]
-        u, w = m, m + 1
-        uf = UnionFind(m + 2)
-        moved = kept = False
+        """Would moving ``row`` of color j's slots keep its component count?
+
+        Components away from u stay as they are and u joins all its groups,
+        so the count is kept iff the quotient graph on the groups, u and the
+        fresh vertex w is connected once the row has moved.
+        """
+        group_of = self._components[j]
+        u, w = -1, -2  # group ids are >= 0
+        edges = []
         for z, take in row.items():
             if z == _LOOP:
-                kept = True  # every loop keeps an endpoint at u
-                if take:
-                    uf.union(u, w)  # a loop with one endpoint moved joins u and w
-                    moved = True
+                # every loop keeps an endpoint at u; one with an endpoint moved joins u and w
+                edges.append((u, w) if take else (u, u))
                 continue
             if take:
-                uf.union(w, node_of[z])
-                moved = True
+                edges.append((w, group_of[z]))
             if take < self.cell_sizes[(j, z)]:
-                uf.union(u, node_of[z])
-                kept = True
-        # u or w left without an edge of color j is no vertex of the class
-        return unreached + uf.component_count() - (not kept) - (not moved) == before
+                edges.append((u, group_of[z]))
+        return edge_component_count(edges) == 1
 
     def _window(self, size: int) -> tuple[int, int]:
         return size // self.delta, -(-size // self.delta)
 
     def _groups(self, j: int) -> list[list[int]]:
         """Color j's groups of two or more cells, as lists of neighbors."""
-        node_of = self._components[j][2]
+        group_of = self._components[j]
         groups: dict[int, list[int]] = {}
         for z in self.cells_of[j]:
             if z != _LOOP:
-                groups.setdefault(node_of[z], []).append(z)
+                groups.setdefault(group_of[z], []).append(z)
         return [cells for cells in groups.values() if len(cells) > 1]
 
     def _circulation(self):

@@ -5,6 +5,11 @@ a subset A with floor(|P|/n) <= |A & P| <= ceil(|P|/n) for every member
 set P. Implemented as a feasible integral flow: each family forms a
 forest by inclusion, member sets become bounded arcs, ground elements
 become unit arcs between the two forests.
+
+One sweep, O(sum |P| log), builds each forest and checks laminarity: the
+sets are placed largest first, a set's parent is the last set placed that
+holds any one of its elements, and the family is laminar iff that set
+holds all of them.
 """
 
 from __future__ import annotations
@@ -29,31 +34,36 @@ class LaminarFamily:
 
 
 def verify_laminar(fam: LaminarFamily) -> bool:
-    """True iff every pair of member sets is nested or disjoint."""
-    for s in fam.sets:
-        for x in s:
-            if not (0 <= x < fam.ground_size):
-                return False
-    sets = fam.sets
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            a, b = sets[i], sets[j]
-            if not (a <= b or b <= a or not (a & b)):
-                return False
-    return True
+    """True iff the member sets lie in the ground set, pairwise nested or disjoint.
+
+    One sweep of ``_forest``: O(sum |P| log) for the member sets P.
+    """
+    return _forest(fam) is not None
 
 
-def _forest(fam: LaminarFamily) -> tuple[list[frozenset[int]], list[int]]:
-    """Deduped sets sorted largest-first, with parent indices (-1 for roots)."""
+def _forest(fam: LaminarFamily) -> tuple[list[frozenset[int]], list[int], list[int]] | None:
+    """The inclusion forest of a family in one sweep, or None if not laminar.
+
+    Returns the deduplicated sets sorted largest first, each set's parent
+    index (-1 for roots) and ``owner``: for each ground element, the index
+    of the smallest set that holds it (-1 if none).
+    """
+    size = fam.ground_size
     sets = sorted(set(fam.sets), key=lambda s: (-len(s), sorted(s)))
-    parents = [-1] * len(sets)
+    owner = [-1] * size
+    parents = []
     for i, s in enumerate(sets):
-        # smallest strict superset appears earlier in the size-sorted order
-        for j in range(i - 1, -1, -1):
-            if s < sets[j]:
-                parents[i] = j
-                break
-    return sets, parents
+        if not all(0 <= x < size for x in s):
+            return None
+        # owner[x]: the last set placed that holds x; every earlier set that
+        # meets s is at least as large, so a laminar one holds all of s
+        parent = next((owner[x] for x in s), -1)
+        if any(owner[x] != parent for x in s):
+            return None
+        parents.append(parent)
+        for x in s:
+            owner[x] = i
+    return sets, parents, owner
 
 
 def select_subset(
@@ -68,14 +78,13 @@ def select_subset(
         raise ValueError("n must be >= 1")
     if fam_a.ground_size != s_size or fam_b.ground_size != s_size:
         raise LaminarContractError("families must share the ground set")
-    for fam in (fam_a, fam_b):
-        if not verify_laminar(fam):
-            raise LaminarContractError("family is not laminar")
+    forests = [_forest(fam) for fam in (fam_a, fam_b)]
+    if None in forests:
+        raise LaminarContractError("family is not laminar")
     if n == 1:
         return set(range(s_size))
 
-    sets_a, par_a = _forest(fam_a)
-    sets_b, par_b = _forest(fam_b)
+    (sets_a, par_a, owner_a), (sets_b, par_b, owner_b) = forests
 
     # Node layout: 0=source, 1=sink, then one node per member set.
     src, snk = 0, 1
@@ -91,17 +100,9 @@ def select_subset(
         head = snk if par_b[i] < 0 else node_b[par_b[i]]
         arcs.append((node_b[i], head, len(s) // n, -(-len(s) // n)))
 
-    def minimal_index(sets: list[frozenset[int]], x: int) -> int:
-        best = -1
-        for i, s in enumerate(sets):  # later entries are smaller
-            if x in s:
-                best = i
-        return best
-
     element_arcs = []
     for x in range(s_size):
-        ia = minimal_index(sets_a, x)
-        ib = minimal_index(sets_b, x)
+        ia, ib = owner_a[x], owner_b[x]
         if ia < 0 and ib < 0:
             element_arcs.append(None)  # unconstrained; excluded by default
             continue

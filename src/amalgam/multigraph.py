@@ -203,10 +203,17 @@ def graph_to_json(g: Multigraph) -> dict:
     return {"vertices": g.vertex_count, "edges": [[a, b] for a, b in g.edges]}
 
 
+def json_int(x) -> int:
+    """x itself if it is a JSON integer; a float, a string or a bool raises."""
+    if type(x) is not int:
+        raise GraphUsageError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 def graph_from_json(obj: Mapping) -> Multigraph:
     try:
-        vertices = int(obj["vertices"])
-        edges = tuple((int(a), int(b)) for a, b in obj["edges"])
+        vertices = json_int(obj["vertices"])
+        edges = tuple((json_int(a), json_int(b)) for a, b in obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphUsageError(f"malformed graph JSON: {exc}") from exc
     return Multigraph(vertices, edges)
@@ -218,7 +225,7 @@ def coloring_to_json(c: EdgeColoring) -> dict:
 
 def coloring_from_json(obj: Mapping) -> EdgeColoring:
     try:
-        return EdgeColoring(int(obj["k"]), tuple(int(c) for c in obj["colors"]))
+        return EdgeColoring(json_int(obj["k"]), tuple(json_int(c) for c in obj["colors"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphUsageError(f"malformed coloring JSON: {exc}") from exc
 

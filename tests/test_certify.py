@@ -161,6 +161,32 @@ def test_host_from_kind_parameters():
     assert certify(certificate_from_json(obj)).passed
 
 
+def _k3_json(**changes):
+    obj = {
+        "host": {"kind": "complete", "n": 3, "lambda": 1},
+        "classes": [{"role": "hamiltonian", "edges": [[0, 1], [1, 2], [0, 2]]}],
+    }
+    obj.update(changes)
+    return obj
+
+
+def test_certificate_reader_accepts_only_integers():
+    assert certify(certificate_from_json(_k3_json())).passed
+    # each of these passed certify once truncated or coerced to int
+    malformed = [
+        _k3_json(classes=[{"role": "hamiltonian", "edges": [[0.9, 1], [1, 2], [0, "2"]]}]),
+        _k3_json(host={"kind": "complete", "n": 3.6}),
+        _k3_json(host={"kind": "complete", "n": 3, "lambda": True}),
+        _k3_json(host={"kind": "two-class", "n": 1, "m": 3, "lambda": 0, "mu": 1.0}),
+        _k3_json(host={"kind": "multipartite", "n": "1", "m": 3}),
+        _k3_json(classes=[{"role": "r-factor", "r": 2.5, "edges": [[0, 1], [1, 2], [0, 2]]}]),
+        _k3_json(parts=[[0], [1], [2.0]]),
+    ]
+    for obj in malformed:
+        with pytest.raises(GraphUsageError):
+            certificate_from_json(obj)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 30), st.booleans())
 def test_metamorphic_relabeling_preserves_verdict(seed, tamper):

@@ -142,6 +142,44 @@ def test_detach_command(tmp_path, capsys):
     assert run(["detach", str(inp), "--eta", str(bad)]) == 64
 
 
+def test_malformed_numbers_are_usage_errors(tmp_path, capsys):
+    cert = {
+        "host": {"kind": "complete", "n": 3, "lambda": 1},
+        "classes": [{"role": "hamiltonian", "edges": [[0.9, 1], [1, 2], [0, "2"]]}],
+    }
+    f = tmp_path / "cert.json"
+    f.write_text(json.dumps(cert))
+    assert run(["verify", str(f)]) == 64
+    cert["classes"][0]["edges"] = [[0, 1], [1, 2], [0, 2]]
+    cert["host"]["n"] = 3.6
+    f.write_text(json.dumps(cert))
+    assert run(["verify", str(f)]) == 64
+
+    payload = {
+        "graph": graph_to_json(Multigraph(1, ((0, 0),) * 6)),
+        "coloring": coloring_to_json(EdgeColoring(2, (1, 1, 1, 2, 2, 2))),
+    }
+    inp = tmp_path / "h.json"
+    inp.write_text(json.dumps(payload))
+    eta = tmp_path / "eta.json"
+    for text in ('"32"', '{"0": 3}', "3.7", "true", "[3.0]", "[true]", '["3"]'):
+        eta.write_text(text)
+        assert run(["detach", str(inp), "--eta", str(eta)]) == 64, text
+    eta.write_text("[3]")
+    for graph, coloring in (
+        ({"vertices": 1.9, "edges": [[0, 0]] * 6}, payload["coloring"]),
+        ({"vertices": 1, "edges": [[0, True]] * 6}, payload["coloring"]),
+        (payload["graph"], {"k": 2, "colors": [1, 1, 1, 2, 2, 1.9]}),
+        (payload["graph"], {"k": True, "colors": [1] * 6}),
+    ):
+        inp.write_text(json.dumps({"graph": graph, "coloring": coloring}))
+        assert run(["detach", str(inp), "--eta", str(eta)]) == 64
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2.0]]}))
+    assert run(["color", str(g), "--mode", "even", "-k", "1"]) == 64
+    assert "expected a JSON integer" in capsys.readouterr().err
+
+
 def test_detach_failure_names_its_location(tmp_path, capsys, monkeypatch):
     import amalgam.detachment as detachment
 

@@ -129,3 +129,13 @@ def test_evenly_equitable_random_suite():
         coloring = evenly_equitable_coloring(g, k)
         assert verify_evenly_equitable(g, coloring)
         assert len(coloring.colors) == g.edge_count
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [2, 3])
+def test_bee_long_tripled_path(k):
+    # about 10,000 member sets per class: a pairwise laminar check is quadratic here
+    m = 5000
+    g = Multigraph(m, tuple((v, v + 1) for v in range(m - 1) for _ in range(3)))
+    left = set(range(0, m, 2))
+    assert verify_bee(g, left, bee_coloring(g, left, k))

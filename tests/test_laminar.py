@@ -4,7 +4,7 @@ import random
 import pytest
 
 from amalgam import LaminarContractError, LaminarFamily, select_subset, verify_laminar
-from amalgam.laminar import quota_ok
+from amalgam.laminar import _forest, quota_ok
 
 
 def fam(ground, *sets):
@@ -72,6 +72,67 @@ def _random_laminar(rng: random.Random, size: int) -> LaminarFamily:
         sets.append(set(ground))
     split(ground)
     return LaminarFamily.of(size, sets)
+
+
+def _pairwise_laminar(fam: LaminarFamily) -> bool:
+    """Oracle: every element in the ground set, every pair nested or disjoint."""
+    if any(not (0 <= x < fam.ground_size) for s in fam.sets for x in s):
+        return False
+    sets = fam.sets
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            a, b = sets[i], sets[j]
+            if not (a <= b or b <= a or not (a & b)):
+                return False
+    return True
+
+
+def _random_family(rng: random.Random, size: int) -> LaminarFamily:
+    """A laminar family, often spoiled: crossing, duplicate, empty or outside sets."""
+    sets = list(_random_laminar(rng, size).sets)
+    for _ in range(rng.randint(0, 3)):
+        roll = rng.random()
+        if roll < 0.3:
+            sets.append({x for x in range(size) if rng.random() < 0.5})  # may cross
+        elif roll < 0.55 and sets:
+            sets.append(rng.choice(sets))  # duplicate
+        elif roll < 0.8:
+            sets.append(set())
+        elif roll < 0.9:
+            sets.append({rng.choice([-1, size, size + 3])})  # outside the ground set
+    rng.shuffle(sets)
+    return LaminarFamily.of(size, sets)
+
+
+def test_sweep_matches_pairwise_oracle():
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        size = rng.randint(0, 9)
+        a, b = _random_family(rng, size), _random_family(rng, size)
+        ok_a, ok_b = _pairwise_laminar(a), _pairwise_laminar(b)
+        verdicts[ok_a] += 1
+        assert verify_laminar(a) == ok_a
+        n = rng.randint(1, 4)
+        if ok_a and ok_b:
+            chosen = select_subset(size, a, b, n)
+            assert quota_ok(chosen, a, n) and quota_ok(chosen, b, n)
+        else:
+            with pytest.raises(LaminarContractError):
+                select_subset(size, a, b, n)
+        if not ok_a:
+            assert _forest(a) is None
+            continue
+        sets, parents, owner = _forest(a)
+        assert len(sets) == len(set(a.sets)) and set(sets) == set(a.sets)
+        assert all(len(p) >= len(q) for p, q in zip(sets, sets[1:]))
+        # brute force: the smallest strict superset meeting the set, the smallest set holding x
+        for i, s in enumerate(sets):
+            supers = [j for j, sup in enumerate(sets) if s and s < sup]
+            assert parents[i] == max(supers, default=-1)
+        for x in range(size):
+            assert owner[x] == max((i for i, s in enumerate(sets) if x in s), default=-1)
+    assert min(verdicts.values()) > 400, verdicts
 
 
 def _oracle_has_valid_subset(size, fam_a, fam_b, n):

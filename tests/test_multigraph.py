@@ -138,3 +138,15 @@ def test_json_round_trips():
         graph_from_json({"vertices": 2})
     with pytest.raises(GraphUsageError):
         coloring_from_json({"k": 1, "colors": ["x"]})
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, "1", True, None, [1]])
+def test_json_readers_accept_only_integers(bad):
+    with pytest.raises(GraphUsageError):
+        graph_from_json({"vertices": bad, "edges": []})
+    with pytest.raises(GraphUsageError):
+        graph_from_json({"vertices": 3, "edges": [[0, bad]]})
+    with pytest.raises(GraphUsageError):
+        coloring_from_json({"k": bad, "colors": []})
+    with pytest.raises(GraphUsageError):
+        coloring_from_json({"k": 2, "colors": [1, bad]})
