@@ -194,12 +194,19 @@ def host_from_json(obj: Mapping) -> Multigraph:
     raise GraphUsageError(f"unknown host kind {kind!r}")
 
 
+def _json_str(x) -> str:
+    """x itself if it is a JSON string; null, a number or a list raises."""
+    if type(x) is not str:
+        raise GraphUsageError(f"expected a JSON string, got {x!r}")
+    return x
+
+
 def certificate_from_json(obj: Mapping) -> DecompositionCertificate:
     try:
         host = host_from_json(obj["host"])
         classes = tuple(
             ClassClaim(
-                role=str(c["role"]),
+                role=_json_str(c["role"]),
                 edges=tuple((json_int(a), json_int(b)) for a, b in c["edges"]),
                 r=json_int(c["r"]) if "r" in c else None,
             )

@@ -181,6 +181,9 @@ def test_certificate_reader_accepts_only_integers():
         _k3_json(host={"kind": "multipartite", "n": "1", "m": 3}),
         _k3_json(classes=[{"role": "r-factor", "r": 2.5, "edges": [[0, 1], [1, 2], [0, 2]]}]),
         _k3_json(parts=[[0], [1], [2.0]]),
+        # a role must be a JSON string, not null or a number
+        _k3_json(classes=[{"role": None, "edges": [[0, 1], [1, 2], [0, 2]]}]),
+        _k3_json(classes=[{"role": 5, "edges": [[0, 1], [1, 2], [0, 2]]}]),
     ]
     for obj in malformed:
         with pytest.raises(GraphUsageError):

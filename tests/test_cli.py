@@ -154,6 +154,12 @@ def test_malformed_numbers_are_usage_errors(tmp_path, capsys):
     cert["host"]["n"] = 3.6
     f.write_text(json.dumps(cert))
     assert run(["verify", str(f)]) == 64
+    assert run(["decompose", "complete", "--n", "7", "--lambda", "1", "--out", str(f)]) == 0
+    k7 = json.loads(f.read_text())
+    for role in (None, 5):
+        k7["classes"][0]["role"] = role
+        f.write_text(json.dumps(k7))
+        assert run(["verify", str(f)]) == 64, role
 
     payload = {
         "graph": graph_to_json(Multigraph(1, ((0, 0),) * 6)),

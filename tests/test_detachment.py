@@ -1,12 +1,16 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
 import amalgam.detachment as detachment
 from amalgam import (
+    AmalgamationSpec,
     DetachmentContractError,
     DetachmentError,
+    DetachmentReport,
     DetachmentResult,
     EdgeColoring,
     Multigraph,
@@ -17,8 +21,10 @@ from amalgam import (
     ham_decompose_complete,
     qualifying_colors,
     verify_detachment,
+    walecki_direct,
 )
 from amalgam.detachment import _LOOP, _SplitCounts, _split_vertex, edge_component_count
+from amalgam.multigraph import approx, color_degrees
 from tests.conftest import random_detachment_instance
 
 
@@ -89,6 +95,17 @@ def test_structural_errors_reported_distinctly():
     assert report.properties == {}
 
 
+def test_zero_eta_is_a_structural_error():
+    # AmalgamationSpec accepts an eta of 0 for a vertex with no preimage
+    h = Multigraph(2, ((0, 0),) * 2)
+    coloring = EdgeColoring(1, (1, 1))
+    g = Multigraph(2, ((0, 1),) * 2)
+    spec = AmalgamationSpec((2, 0), (0, 0))
+    report = verify_detachment(h, coloring, DetachmentResult(g, coloring, spec, {0: [0, 1], 1: []}))
+    assert not report.structural_ok
+    assert report.structural_errors == ["eta(1) must be positive"]
+    assert report.properties == {}
+
 def test_qualifying_colors():
     # color 1 degree 4 at the only vertex (eta=2): 4 % (2*2) == 0 -> qualifies
     h = Multigraph(1, ((0, 0), (0, 0), (0, 0)))
@@ -141,6 +158,193 @@ def test_random_instances_pass_all_properties():
         report = verify_detachment(h, coloring, result)
         assert report.all_passed, (h.edges, coloring.colors, eta, report.properties)
         done += 1
+
+
+def _pairwise_verify_detachment(h, coloring, result):
+    """Oracle: the detachment properties checked pair by pair.
+
+    Visits every pair of siblings, and every pair of vertices in different
+    fibers, once per color; so it costs about (sum of eta)^2 k.
+    """
+    errors = []
+    g, spec = result.g, result.spec
+    eta, phi = spec.eta, spec.phi
+    if len(eta) != h.vertex_count:
+        errors.append("eta not total on V(H)")
+    if len(phi) != g.vertex_count:
+        errors.append("phi not total on V(G)")
+    if g.edge_count != h.edge_count:
+        errors.append("edge count changed")
+    if result.coloring.k != coloring.k or result.coloring.colors != coloring.colors:
+        errors.append("coloring was not carried over by edge identity")
+    if not errors:
+        for e, (a, b) in enumerate(g.edges):
+            ha, hb = h.edges[e]
+            if {phi[a], phi[b]} != {ha, hb}:
+                errors.append(f"edge {e} endpoints disagree with phi")
+                break
+    if any(a == b for a, b in g.edges):
+        errors.append("detached graph has loops")
+    if errors:
+        return DetachmentReport(False, errors, {})
+
+    k = coloring.k
+    siblings = [[w for w in range(g.vertex_count) if phi[w] == u] for u in range(h.vertex_count)]
+    deg_h = color_degrees(h, coloring.colors, k)
+    deg_g = color_degrees(g, result.coloring.colors, k)
+    dh = h.degrees()
+    dg = g.degrees()
+
+    props = {}
+    details = {}
+
+    props["A1"] = all(
+        approx(dg[w], dh[u] / eta[u]) for u in range(h.vertex_count) for w in siblings[u]
+    )
+    props["A2"] = all(
+        approx(deg_g[w][j], deg_h[u][j] / eta[u])
+        for u in range(h.vertex_count)
+        for w in siblings[u]
+        for j in range(1, k + 1)
+    )
+
+    mult_g = {}
+    mult_gj = {}
+    for e, (a, b) in enumerate(g.edges):
+        key = (min(a, b), max(a, b))
+        mult_g[key] = mult_g.get(key, 0) + 1
+        ckey = (min(a, b), max(a, b), result.coloring.colors[e])
+        mult_gj[ckey] = mult_gj.get(ckey, 0) + 1
+    loops_h = [h.loop_count(v) for v in range(h.vertex_count)]
+    loops_hj = [[0] * (k + 1) for _ in range(h.vertex_count)]
+    mult_h = {}
+    mult_hj = {}
+    for e, (a, b) in enumerate(h.edges):
+        c = coloring.colors[e]
+        if a == b:
+            loops_hj[a][c] += 1
+        else:
+            key = (min(a, b), max(a, b))
+            mult_h[key] = mult_h.get(key, 0) + 1
+            mult_hj[(key[0], key[1], c)] = mult_hj.get((key[0], key[1], c), 0) + 1
+
+    ok3 = ok4 = True
+    for u in range(h.vertex_count):
+        if eta[u] < 2:
+            continue
+        pairs = math.comb(eta[u], 2)
+        for x in range(len(siblings[u])):
+            for y in range(x + 1, len(siblings[u])):
+                key = (min(siblings[u][x], siblings[u][y]), max(siblings[u][x], siblings[u][y]))
+                if not approx(mult_g.get(key, 0), loops_h[u] / pairs):
+                    ok3 = False
+                for j in range(1, k + 1):
+                    if not approx(mult_gj.get((key[0], key[1], j), 0), loops_hj[u][j] / pairs):
+                        ok4 = False
+    props["A3"], props["A4"] = ok3, ok4
+
+    ok5 = ok6 = True
+    for u in range(h.vertex_count):
+        for v in range(u + 1, h.vertex_count):
+            denom = eta[u] * eta[v]
+            base = mult_h.get((u, v), 0)
+            for wu in siblings[u]:
+                for wv in siblings[v]:
+                    key = (min(wu, wv), max(wu, wv))
+                    if not approx(mult_g.get(key, 0), base / denom):
+                        ok5 = False
+                    for j in range(1, k + 1):
+                        if not approx(
+                            mult_gj.get((key[0], key[1], j), 0),
+                            mult_hj.get((u, v, j), 0) / denom,
+                        ):
+                            ok6 = False
+    props["A5"], props["A6"] = ok5, ok6
+
+    ok7 = True
+    for j in qualifying_colors(h, coloring, tuple(eta)):
+        ch = edge_component_count(h.edges[e] for e in coloring.class_edge_ids(j))
+        cg = edge_component_count(g.edges[e] for e in result.coloring.class_edge_ids(j))
+        if cg != ch:
+            ok7 = False
+            details["A7"] = f"color {j}: {cg} != {ch}"
+    props["A7"] = ok7
+
+    return DetachmentReport(True, [], props, details)
+
+
+def _moved_endpoints(result, rng, moves, anywhere=0.2):
+    """A copy of ``result`` with ``moves`` endpoints moved, mostly to another sibling."""
+    edges = [list(pair) for pair in result.g.edges]
+    phi = result.spec.phi
+    for _ in range(moves):
+        end = edges[rng.randrange(len(edges))]
+        side = rng.randrange(2)
+        others = [w for w in result.labels[phi[end[side]]] if w != end[side]]
+        if others and rng.random() >= anywhere:
+            end[side] = rng.choice(others)
+        else:
+            end[side] = rng.randrange(result.g.vertex_count)
+    g = Multigraph(result.g.vertex_count, tuple(tuple(pair) for pair in edges))
+    return DetachmentResult(g, result.coloring, result.spec, result.labels)
+
+
+def _assert_same_report(h, coloring, result, failed):
+    report = verify_detachment(h, coloring, result)
+    assert report == _pairwise_verify_detachment(h, coloring, result), (
+        h.edges, coloring.colors, result.spec, result.g.edges,
+    )
+    failed.update(name for name, ok in report.properties.items() if not ok)
+
+
+def _ring(n):
+    """n fused vertices in a ring, two loops each and doubled ring edges, eta = 2."""
+    edges = []
+    for v in range(n):
+        edges += [(v, v)] * 2 + [(min(v, (v + 1) % n), max(v, (v + 1) % n))] * 2
+    return Multigraph(n, tuple(edges)), EdgeColoring(1, (1,) * len(edges)), [2] * n
+
+
+@pytest.mark.parametrize(
+    "seed,draws", [(707, 500), pytest.param(708, 2000, marks=pytest.mark.slow)]
+)
+def test_counting_verifier_matches_pairwise_oracle(seed, draws):
+    # each draw and five copies with 1-3 endpoints moved; every fourth past the suite's bounds
+    rng = random.Random(seed)
+    failed: Counter = Counter()
+    done = 0
+    while done < draws:
+        bounds = {"max_vertices": 8, "max_eta": 6, "max_colors": 6} if done % 4 == 0 else {}
+        inst = random_detachment_instance(rng, **bounds)
+        if inst is None:
+            continue
+        h, coloring, eta = inst
+        result = detach(h, coloring, eta)
+        _assert_same_report(h, coloring, result, failed)
+        for _ in range(5):
+            _assert_same_report(h, coloring, _moved_endpoints(result, rng, rng.randint(1, 3)), failed)
+        done += 1
+    assert set(failed) == {"A1", "A2", "A3", "A4", "A5", "A6", "A7"}, failed
+
+
+def test_counting_verifier_matches_pairwise_oracle_on_large_fibers():
+    # the fused K_41 (one fiber of 41) and a 150-vertex ring, each also with one endpoint moved
+    rng = random.Random(41)
+    cert = walecki_direct(41, 1)
+    g = Multigraph(41, tuple(e for c in cert.classes for e in c.edges))
+    coloring = EdgeColoring(
+        len(cert.classes), tuple(j for j, c in enumerate(cert.classes, 1) for _ in c.edges)
+    )
+    h, spec = amalgamate(g, [0] * 41)
+    fused = DetachmentResult(g, coloring, spec, {0: list(range(41))})
+    ring_h, ring_coloring, ring_eta = _ring(150)
+    ring = detach(ring_h, ring_coloring, ring_eta)
+    for h, coloring, result in ((h, coloring, fused), (ring_h, ring_coloring, ring)):
+        failed: Counter = Counter()
+        _assert_same_report(h, coloring, result, failed)
+        assert not failed
+        _assert_same_report(h, coloring, _moved_endpoints(result, rng, 1, anywhere=0), failed)
+        assert failed
 
 
 def _rebuilt_row_keeps_components(endpoints, colors, u, w, cell_sizes, j, row):
