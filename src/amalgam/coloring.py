@@ -78,9 +78,9 @@ def bee_coloring(g: Multigraph, left: set[int], k: int) -> EdgeColoring:
             [by_vertex[v] for v in sorted(by_vertex) if v not in left] + everything,
         )
         chosen = select_subset(size, fam_a, fam_b, classes_left)
-        for i in sorted(chosen, reverse=True):
+        for i in chosen:
             colors[remaining[i]] = c
-            del remaining[i]
+        remaining = [e for i, e in enumerate(remaining) if i not in chosen]
     return EdgeColoring(k, tuple(colors))
 
 

@@ -17,6 +17,13 @@ feasible circulation keeps the components, and one circulation per
 split is the whole construction (``_SplitCounts`` gives the argument).
 Nothing is searched or retried.
 
+Each fused vertex keeps its star across its splits (``_Star``): its
+cells, and for each qualifying color a union-find of that color's edges
+away from it. Both are built once per fused vertex, from incidence and
+per-color edge lists made in one pass over the edges, and each split
+updates them in place. So a split costs O(deg u) plus one circulation,
+and a fused vertex's star costs its qualifying classes' edges once.
+
 A per-split guard re-checks the component counts, and the output is
 gated by ``verify_detachment``; a split that fails raises
 ``DetachmentError`` naming its vertex, split and color.
@@ -39,7 +46,6 @@ from .multigraph import (
     AmalgamationSpec,
     EdgeColoring,
     Multigraph,
-    UnionFind,
     approx,
     color_degrees,
 )
@@ -107,24 +113,33 @@ def edge_component_count(edges) -> int:
     counts its vertex as incident. An empty list has zero components.
     """
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    seen: set[int] = set()
+    merges = 0
     for a, b in edges:
-        if a not in parent:
-            parent[a] = a
-        if b not in parent:
-            parent[b] = b
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return sum(1 for x in parent if parent[x] == x)
+        seen.add(a)
+        seen.add(b)
+        merges += _union(parent, a, b)
+    return len(seen) - merges
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find whose dict maps only non-roots to their parents."""
+    root = x
+    while root in parent:
+        root = parent[root]
+    while x != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent: dict[int, int], a: int, b: int) -> bool:
+    """Merge the sets of a and b; False if they were already one set."""
+    ra = _find(parent, a) if a in parent else a
+    rb = _find(parent, b) if b in parent else b
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
 
 
 def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> list[int]:
@@ -149,17 +164,30 @@ def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> Detachm
         if n == 1 and h.loop_count(v) > 0:
             raise DetachmentContractError(f"eta({v})=1 but vertex {v} has loops")
 
+    colors = coloring.colors
     quals = qualifying_colors(h, coloring, eta)
     endpoints = [list(pair) for pair in h.edges]
+    # one pass: each vertex's edges, and each qualifying color's edges
+    incident: list[list[int]] = [[] for _ in range(h.vertex_count)]
+    class_edges: dict[int, list[int]] = {j: [] for j in quals}
+    for eid, (a, b) in enumerate(h.edges):
+        incident[a].append(eid)
+        if b != a:
+            incident[b].append(eid)
+        if colors[eid] in class_edges:
+            class_edges[colors[eid]].append(eid)
     phi = list(range(h.vertex_count))
     labels: dict[int, list[int]] = {v: [] for v in range(h.vertex_count)}
     vertex_count = h.vertex_count
     for u in range(h.vertex_count):
-        for delta in range(eta[u], 1, -1):
-            _split_vertex(endpoints, coloring.colors, vertex_count, u, delta, quals)
-            phi.append(u)
-            labels[u].append(vertex_count)
-            vertex_count += 1
+        if eta[u] > 1:
+            # no earlier split moves an end at u, so H's incidence list is u's star
+            star = _Star(u, endpoints, colors, incident[u], class_edges)
+            for delta in range(eta[u], 1, -1):
+                star.split(delta, vertex_count)
+                phi.append(u)
+                labels[u].append(vertex_count)
+                vertex_count += 1
         labels[u].append(u)
 
     g = Multigraph(vertex_count, tuple((a, b) for a, b in endpoints))
@@ -170,35 +198,89 @@ def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> Detachm
     return result
 
 
-def _split_vertex(
-    endpoints: list[list[int]],
-    colors: tuple[int, ...],
-    vertex_count: int,
-    u: int,
-    delta: int,
-    quals: list[int],
-) -> None:
-    """Move a quota share of u's endpoint slots onto a fresh vertex.
+class _Star:
+    """A fused vertex u's cells and groups, kept up to date across u's splits.
 
-    Mutates ``endpoints`` in place; the new vertex id is ``vertex_count``.
+    Cells: u's endpoint slots by (color, neighbor), loops at u forming the
+    cell (color, _LOOP); slots are (edge id, end) in edge-id order, a loop
+    holding both of its ends. Groups: for each qualifying color at u, a
+    dict-keyed union-find over that color's edges away from u.
+
+    Both are built once, from u's incident edges and the qualifying
+    classes' edge lists. A split then only changes u's star: a moved slot
+    turns its edge into (w, z), away from u, which leaves its cell and is
+    unioned into its color's groups; a loop with an end moved becomes the
+    edge (w, u), a slot of the new cell (color, w). So a split costs
+    O(deg u) plus its circulation, and building the star costs u's edges
+    plus its qualifying classes' edges.
     """
-    counts = _SplitCounts(endpoints, colors, vertex_count, u, delta, quals)
-    if not counts.cell_slots:
-        return  # isolated vertex splits into isolated vertices
 
-    # a cell's slots are parallel edges of one color, so which of them move
-    # only permutes edge ids and never changes a later split
-    new_vertex = vertex_count
-    for cell, take in counts.solve().items():
-        slots = counts.cell_slots[cell]
-        if cell[1] == _LOOP:
-            # one endpoint per loop, never both, so no loop survives at the end
-            loops = sorted({eid for eid, _ in slots})
-            moved = [(eid, 0) for eid in loops[:take]]
-        else:
-            moved = slots[:take]
-        for eid, end in moved:
-            endpoints[eid][end] = new_vertex
+    def __init__(self, u, endpoints, colors, incident, class_edges):
+        self.u = u
+        self.endpoints = endpoints
+        self.cell_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for eid in incident:
+            a, b = endpoints[eid]
+            if a == b:
+                slots = [(eid, 0), (eid, 1)]
+                cell = (colors[eid], _LOOP)
+            else:
+                slots = [(eid, 0)] if a == u else [(eid, 1)]
+                cell = (colors[eid], b if a == u else a)
+            self.cell_slots.setdefault(cell, []).extend(slots)
+        self.groups: dict[int, dict[int, int]] = {}
+        at_u = {c for c, _ in self.cell_slots}
+        for j, eids in class_edges.items():
+            if j not in at_u:
+                continue
+            parent: dict[int, int] = {}
+            for eid in eids:
+                a, b = endpoints[eid]
+                if a != u and b != u:
+                    _union(parent, a, b)
+            self.groups[j] = parent
+
+    def group_of(self, j: int, neighbors) -> dict[int, int]:
+        """Map each neighbor of u to a small id of its group (its component without u)."""
+        parent = self.groups[j]
+        group_of_root: dict[int, int] = {}
+        return {
+            z: group_of_root.setdefault(_find(parent, z), len(group_of_root))
+            for z in neighbors
+            if z != _LOOP
+        }
+
+    def split(self, delta: int, new_vertex: int) -> None:
+        """Move a quota share of u's endpoint slots onto ``new_vertex``."""
+        if not self.cell_slots:
+            return  # isolated vertex splits into isolated vertices
+        endpoints = self.endpoints
+        # a cell's slots are parallel edges of one color, so which of them move
+        # only permutes edge ids and never changes a later split
+        for cell, take in _SplitCounts(self, delta).solve().items():
+            if not take:
+                continue
+            c, z = cell
+            slots = self.cell_slots[cell]
+            if z == _LOOP:
+                # one endpoint per loop, never both, so no loop survives at the end
+                moved = slots[: 2 * take : 2]
+                for eid, _ in moved:
+                    endpoints[eid][0] = new_vertex
+                self.cell_slots[(c, new_vertex)] = [(eid, 1) for eid, _ in moved]
+                rest = slots[2 * take :]
+            else:
+                moved = slots[:take]
+                parent = self.groups.get(c)
+                for eid, end in moved:
+                    endpoints[eid][end] = new_vertex
+                    if parent is not None:
+                        _union(parent, new_vertex, z)
+                rest = slots[take:]
+            if rest:
+                self.cell_slots[cell] = rest
+            else:
+                del self.cell_slots[cell]
 
 
 class _SplitCounts:
@@ -224,60 +306,29 @@ class _SplitCounts:
     component and every component of j survives. ``keeps_components``
     re-checks this on the circulation as a guard.
 
-    The component test costs O(row): the color class with u's edges
-    removed is merged into groups once per split, and the guard counts the
-    components of a quotient graph whose vertices are the groups, u and
-    the fresh vertex w, with one or two edges per cell of the row.
+    Everything here is read off u's ``_Star``: the cells, and each
+    qualifying color's groups. So one split costs O(deg u) plus its
+    circulation. The guard counts the components of a quotient graph whose
+    vertices are the groups, u and the fresh vertex w, with one or two
+    edges per cell of the row.
     """
 
-    def __init__(self, endpoints, colors, vertex_count, u, delta, quals):
-        self.u = u
+    def __init__(self, star: _Star, delta: int):
+        self.u = star.u
         self.delta = delta
-        qual_set = set(quals)
-        # one pass: the slots of each cell, and each qualifying color's edges away from u
-        # cell = (color, neighbor); loops at u form the cell (color, _LOOP)
-        self.cell_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        away: dict[int, list[tuple[int, int]]] = {j: [] for j in quals}
-        for eid, (a, b) in enumerate(endpoints):
-            c = colors[eid]
-            if a == u:
-                other = _LOOP if b == u else b
-                self.cell_slots.setdefault((c, other), []).append((eid, 0))
-                if b == u:
-                    self.cell_slots[(c, other)].append((eid, 1))
-            elif b == u:
-                self.cell_slots.setdefault((c, a), []).append((eid, 1))
-            elif c in qual_set:
-                away[c].append((a, b))
-
-        self.cell_sizes = {cell: len(slots) for cell, slots in self.cell_slots.items()}
+        self.cell_sizes = {cell: len(star.cell_slots[cell]) for cell in sorted(star.cell_slots)}
         self.color_ids = sorted({c for c, _ in self.cell_sizes})
         self.neighbor_ids = sorted({z for _, z in self.cell_sizes})
         self.color_sizes = {c: 0 for c in self.color_ids}
         self.neighbor_sizes = {z: 0 for z in self.neighbor_ids}
         self.cells_of: dict[int, list[int]] = {c: [] for c in self.color_ids}
-        for (c, z), size in sorted(self.cell_sizes.items()):
+        for (c, z), size in self.cell_sizes.items():
             self.color_sizes[c] += size
             self.neighbor_sizes[z] += size
             self.cells_of[c].append(z)
         self.total = sum(self.cell_sizes.values())
-        self.quals = [j for j in quals if j in self.color_sizes]
-        self._components = {
-            j: self._component_state(vertex_count, away[j], self.cells_of[j])
-            for j in self.quals
-        }
-
-    def _component_state(self, vertex_count, away, cells):
-        """Map each neighbor of u to a small id of its group (its component without u)."""
-        uf = UnionFind(vertex_count)
-        for a, b in away:
-            uf.union(a, b)
-        group_of_root: dict[int, int] = {}
-        return {
-            z: group_of_root.setdefault(uf.find(z), len(group_of_root))
-            for z in cells
-            if z != _LOOP
-        }
+        self.quals = [j for j in star.groups if j in self.color_sizes]
+        self._components = {j: star.group_of(j, self.cells_of[j]) for j in self.quals}
 
     def keeps_components(self, j: int, row: dict[int, int]) -> bool:
         """Would moving ``row`` of color j's slots keep its component count?
@@ -334,7 +385,7 @@ class _SplitCounts:
                 for z in cells:
                     cell_tail[(j, z)] = node_count
                 node_count += 1
-        for cell in sorted(self.cell_sizes):
+        for cell in self.cell_sizes:
             c, z = cell
             cell_arc[cell] = len(arcs)
             tail = cell_tail.get(cell, color_node[c])

@@ -23,8 +23,8 @@ from amalgam import (
     verify_detachment,
     walecki_direct,
 )
-from amalgam.detachment import _LOOP, _SplitCounts, _split_vertex, edge_component_count
-from amalgam.multigraph import approx, color_degrees
+from amalgam.detachment import _LOOP, _SplitCounts, _Star, edge_component_count
+from amalgam.multigraph import UnionFind, approx, color_degrees
 from tests.conftest import random_detachment_instance
 
 
@@ -371,36 +371,118 @@ def _rebuilt_row_keeps_components(endpoints, colors, u, w, cell_sizes, j, row):
     return edge_component_count(after) == edge_component_count(before)
 
 
-def test_component_test_matches_rebuilt_edge_lists():
+def _rescanned_split_state(endpoints, colors, u, quals):
+    """Oracle: u's cells and each qualifying color's groups, from scratch.
+
+    Scans every edge for u's slots and for each qualifying color's edges
+    away from u, then merges those in a dense union-find, with no state
+    kept from earlier splits.
+    """
+    qual_set = set(quals)
+    cell_slots = {}
+    away = {j: [] for j in quals}
+    for eid, (a, b) in enumerate(endpoints):
+        c = colors[eid]
+        if a == u:
+            other = _LOOP if b == u else b
+            cell_slots.setdefault((c, other), []).append((eid, 0))
+            if b == u:
+                cell_slots[(c, other)].append((eid, 1))
+        elif b == u:
+            cell_slots.setdefault((c, a), []).append((eid, 1))
+        elif c in qual_set:
+            away[c].append((a, b))
+    cells_of = {}
+    for c, z in sorted(cell_slots):
+        cells_of.setdefault(c, []).append(z)
+    vertex_count = 1 + max(max(pair) for pair in endpoints)
+    groups = {}
+    for j in quals:
+        if j not in cells_of:
+            continue
+        uf = UnionFind(vertex_count)
+        for a, b in away[j]:
+            uf.union(a, b)
+        group_of_root = {}
+        groups[j] = {
+            z: group_of_root.setdefault(uf.find(z), len(group_of_root))
+            for z in cells_of[j]
+            if z != _LOOP
+        }
+    return cell_slots, groups
+
+
+def _on_every_split(monkeypatch, check):
+    """Call check(counts, star, colors, quals) at every split, inside the real detach."""
+    real_init, real_quals = _SplitCounts.__init__, detachment.qualifying_colors
+    call = {}
+
+    def qualifying(h, coloring, eta):
+        # detach asks for its qualifying colors before its first split
+        call["colors"], call["quals"] = coloring.colors, real_quals(h, coloring, eta)
+        return list(call["quals"])
+
+    def init(self, star, delta):
+        real_init(self, star, delta)
+        check(self, star, call["colors"], call["quals"])
+
+    monkeypatch.setattr(detachment, "qualifying_colors", qualifying)
+    monkeypatch.setattr(_SplitCounts, "__init__", init)
+
+
+def test_split_state_matches_rescan_oracle(monkeypatch):
+    splits = []
+
+    def check(counts, star, colors, quals):
+        cells, groups = _rescanned_split_state(star.endpoints, colors, star.u, quals)
+        # the same cells with their slots in the same order, read in sorted order
+        assert sorted(star.cell_slots.items()) == sorted(cells.items())
+        assert list(counts.cell_sizes) == sorted(cells)
+        assert counts.quals == list(groups)
+        assert counts._components == groups
+        splits.append(star.u)
+
+    _on_every_split(monkeypatch, check)
+    rng = random.Random(20240817)  # the criterion-6 pool
+    done = 0
+    while done < 500:
+        inst = random_detachment_instance(rng)
+        if inst is None:
+            continue
+        detach(*inst)
+        done += 1
+    pool_splits = len(splits)
+    for n in range(2, 16):
+        assert certify(ham_decompose_complete(n, 1)).passed
+    assert pool_splits > 1000 and len(splits) - pool_splits == sum(range(1, 15))
+
+
+def test_component_test_matches_rebuilt_edge_lists(monkeypatch):
+    rows_checked = []
+
+    def check(counts, star, colors, quals):
+        endpoints = star.endpoints
+        w = 1 + max(max(pair) for pair in endpoints)  # a fresh vertex
+        for j in counts.quals:
+            cells = counts.cells_of[j]
+            windows = [counts._window(counts.cell_sizes[(j, z)]) for z in cells]
+            for values in itertools.product(*(range(lo, hi + 1) for lo, hi in windows)):
+                row = dict(zip(cells, values))
+                assert counts.keeps_components(j, row) == _rebuilt_row_keeps_components(
+                    endpoints, colors, star.u, w, counts.cell_sizes, j, row,
+                ), (endpoints, colors, star.u, counts.delta, j, row)
+                rows_checked.append(1)
+
+    _on_every_split(monkeypatch, check)
     rng = random.Random(4242)
-    rows_checked = 0
     done = 0
     while done < 80:
         inst = random_detachment_instance(rng)
         if inst is None:
             continue
-        h, coloring, eta = inst
-        quals = qualifying_colors(h, coloring, eta)
-        endpoints = [list(pair) for pair in h.edges]
-        vertex_count = h.vertex_count
-        # walk the real split sequence, checking every split on the way
-        for u in range(h.vertex_count):
-            for delta in range(eta[u], 1, -1):
-                counts = _SplitCounts(endpoints, coloring.colors, vertex_count, u, delta, quals)
-                for j in counts.quals:
-                    cells = counts.cells_of[j]
-                    windows = [counts._window(counts.cell_sizes[(j, z)]) for z in cells]
-                    for values in itertools.product(*(range(lo, hi + 1) for lo, hi in windows)):
-                        row = dict(zip(cells, values))
-                        assert counts.keeps_components(j, row) == _rebuilt_row_keeps_components(
-                            endpoints, coloring.colors, u, vertex_count,
-                            counts.cell_sizes, j, row,
-                        ), (h.edges, coloring.colors, eta, u, delta, j, row)
-                        rows_checked += 1
-                _split_vertex(endpoints, coloring.colors, vertex_count, u, delta, quals)
-                vertex_count += 1
+        detach(*inst)  # walks the real split sequence, checking every split on the way
         done += 1
-    assert rows_checked > 1000
+    assert len(rows_checked) > 1000
 
 
 def test_complete_41_certifies():
@@ -415,18 +497,18 @@ def test_two_class_splits_certify(n, m, lam, mu):
 def test_one_circulation_per_split(monkeypatch):
     # no search and no retry: each split that has cells solves one circulation
     splits, circulations = [], []
-    real_init, real_circulation = _SplitCounts.__init__, detachment.feasible_circulation
+    real_split, real_circulation = _Star.split, detachment.feasible_circulation
 
-    def init(self, *args):
-        real_init(self, *args)
+    def split(self, delta, new_vertex):
         if self.cell_slots:
             splits.append(self.u)
+        real_split(self, delta, new_vertex)
 
     def circulation(*args):
         circulations.append(1)
         return real_circulation(*args)
 
-    monkeypatch.setattr(_SplitCounts, "__init__", init)
+    monkeypatch.setattr(_Star, "split", split)
     monkeypatch.setattr(detachment, "feasible_circulation", circulation)
     rng = random.Random(20240817)  # the criterion-6 pool
     done = 0
@@ -475,3 +557,11 @@ def test_beyond_bounds_stress():
         result = detach(h, coloring, eta)
         assert verify_detachment(h, coloring, result).all_passed, (h.edges, coloring.colors, eta)
         done += 1
+
+
+@pytest.mark.slow
+def test_ring_600_detaches():
+    # one split per fused vertex, so each split pays for building its star
+    h, coloring, eta = _ring(600)
+    result = detach(h, coloring, eta)
+    assert verify_detachment(h, coloring, result).all_passed
