@@ -48,6 +48,8 @@ from .multigraph import (
     Multigraph,
     approx,
     color_degrees,
+    find,
+    union,
 )
 
 _LOOP = -1  # neighbor key for loop endpoints
@@ -118,28 +120,8 @@ def edge_component_count(edges) -> int:
     for a, b in edges:
         seen.add(a)
         seen.add(b)
-        merges += _union(parent, a, b)
+        merges += union(parent, a, b)
     return len(seen) - merges
-
-
-def _find(parent: dict[int, int], x: int) -> int:
-    """Root of x in a union-find whose dict maps only non-roots to their parents."""
-    root = x
-    while root in parent:
-        root = parent[root]
-    while x != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _union(parent: dict[int, int], a: int, b: int) -> bool:
-    """Merge the sets of a and b; False if they were already one set."""
-    ra = _find(parent, a) if a in parent else a
-    rb = _find(parent, b) if b in parent else b
-    if ra == rb:
-        return False
-    parent[ra] = rb
-    return True
 
 
 def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> list[int]:
@@ -237,7 +219,7 @@ class _Star:
             for eid in eids:
                 a, b = endpoints[eid]
                 if a != u and b != u:
-                    _union(parent, a, b)
+                    union(parent, a, b)
             self.groups[j] = parent
 
     def group_of(self, j: int, neighbors) -> dict[int, int]:
@@ -245,7 +227,7 @@ class _Star:
         parent = self.groups[j]
         group_of_root: dict[int, int] = {}
         return {
-            z: group_of_root.setdefault(_find(parent, z), len(group_of_root))
+            z: group_of_root.setdefault(find(parent, z), len(group_of_root))
             for z in neighbors
             if z != _LOOP
         }
@@ -275,7 +257,7 @@ class _Star:
                 for eid, end in moved:
                     endpoints[eid][end] = new_vertex
                     if parent is not None:
-                        _union(parent, new_vertex, z)
+                        union(parent, new_vertex, z)
                 rest = slots[take:]
             if rest:
                 self.cell_slots[cell] = rest

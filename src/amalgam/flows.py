@@ -37,9 +37,6 @@ class Dinic:
         self.cap.append(0)
         return idx
 
-    def flow_on(self, arc: int, original_cap: int) -> int:
-        return original_cap - self.cap[arc]
-
     def max_flow(self, s: int, t: int) -> int:
         """Blocking flows on BFS level graphs until t is unreachable.
 
@@ -127,5 +124,5 @@ def feasible_circulation(
     if net.max_flow(s, t) != need:
         return None
     for i, arc, room in free:
-        flow[i] += net.flow_on(arc, room)
+        flow[i] += room - net.cap[arc]
     return flow

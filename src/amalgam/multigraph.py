@@ -67,10 +67,8 @@ class Multigraph:
 
     def components(self) -> int:
         """Number of connected components, isolated vertices included."""
-        uf = UnionFind(self.vertex_count)
-        for a, b in self.edges:
-            uf.union(a, b)
-        return uf.component_count()
+        parent: dict[int, int] = {}
+        return self.vertex_count - sum(union(parent, a, b) for a, b in self.edges)
 
     def degrees(self) -> list[int]:
         d = [0] * self.vertex_count
@@ -171,28 +169,28 @@ def amalgamate(g: Multigraph, phi: Sequence[int]) -> tuple[Multigraph, Amalgamat
     return h, AmalgamationSpec(tuple(eta), dense)
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+# ---------------------------------------------------------------------------
+# The union-find kernel: a dict over the vertices that edges touch
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; False if they were already one set."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+def find(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find whose dict maps only non-roots to their parents."""
+    root = x
+    while root in parent:
+        root = parent[root]
+    while x != root:
+        parent[x], x = root, parent[x]
+    return root
 
-    def component_count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
+
+def union(parent: dict[int, int], a: int, b: int) -> bool:
+    """Merge the sets of a and b; False if they were already one set."""
+    ra = find(parent, a) if a in parent else a
+    rb = find(parent, b) if b in parent else b
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
 
 
 # ---------------------------------------------------------------------------

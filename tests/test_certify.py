@@ -81,6 +81,24 @@ def test_one_factor_and_r_factor_roles():
     assert not certify(wrong_r).passed
 
 
+def test_disconnected_two_regular_class_is_not_hamiltonian():
+    triangles = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
+    cert = DecompositionCertificate(
+        Multigraph(6, triangles), (ClassClaim(ROLE_HAMILTONIAN, triangles),)
+    )
+    report = certify(cert)
+    assert report.partition_ok
+    assert not report.passed
+    assert report.class_verdicts[0].reason == "not connected"
+    # the boundary sizes: no vertex is not one component, one vertex with a loop is
+    empty = DecompositionCertificate(Multigraph(0, ()), (ClassClaim(ROLE_HAMILTONIAN, ()),))
+    assert certify(empty).class_verdicts[0].reason == "not connected"
+    loop = DecompositionCertificate(
+        Multigraph(1, ((0, 0),)), (ClassClaim(ROLE_HAMILTONIAN, ((0, 0),)),)
+    )
+    assert certify(loop).passed
+
+
 def test_fairness_checked_against_parts():
     host = two_class_graph(2, 3, 0, 1)
     parts = two_class_parts(2, 3)

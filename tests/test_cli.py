@@ -219,6 +219,12 @@ def test_sweep_marks_infeasible_cells(capsys):
     statuses = {(c["n"], c["m"], c["lambda"], c["mu"]): c["status"] for c in cells}
     assert statuses[(2, 2, 2, 1)] == "certified"
     assert statuses[(2, 2, 5, 1)] == "infeasible"
+    for c in cells:
+        if c["status"] == "infeasible":
+            req = DecompositionRequest(
+                "two-class", n=c["n"], m=c["m"], lam=c["lambda"], mu=c["mu"]
+            )
+            assert c["violations"] == check_feasibility(req).violations
 
 
 @pytest.mark.slow

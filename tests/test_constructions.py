@@ -66,6 +66,21 @@ def test_walecki_rejects_bad_parameters():
         walecki_direct(5, -1)
 
 
+def test_walecki_gate_rejects_a_pairing_that_is_not_one_cycle(monkeypatch):
+    real = constructions._rotational_one_factors
+
+    def swapped(n):
+        # pairs F_0 with F_3 of the 9-ring: their union is 2-regular and spanning
+        # but splits into several cycles
+        factors = real(n)
+        factors[1], factors[3] = factors[3], factors[1]
+        return factors
+
+    monkeypatch.setattr(constructions, "_rotational_one_factors", swapped)
+    with pytest.raises(RuntimeError, match="uncertifiable"):
+        walecki_direct(10, 1)
+
+
 def test_ham_complete_k7():
     cert = ham_decompose_complete(7, 1)
     assert roles(cert) == [ROLE_HAMILTONIAN] * 3

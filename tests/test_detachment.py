@@ -24,7 +24,7 @@ from amalgam import (
     walecki_direct,
 )
 from amalgam.detachment import _LOOP, _SplitCounts, _Star, edge_component_count
-from amalgam.multigraph import UnionFind, approx, color_degrees
+from amalgam.multigraph import approx, color_degrees
 from tests.conftest import random_detachment_instance
 
 
@@ -371,6 +371,20 @@ def _rebuilt_row_keeps_components(endpoints, colors, u, w, cell_sizes, j, row):
     return edge_component_count(after) == edge_component_count(before)
 
 
+def _dense_roots(vertex_count, edges):
+    """Root lookup of a dense union-find over the edges, kept apart from amalgam's kernel."""
+    parent = list(range(vertex_count))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    return root
+
+
 def _rescanned_split_state(endpoints, colors, u, quals):
     """Oracle: u's cells and each qualifying color's groups, from scratch.
 
@@ -400,12 +414,10 @@ def _rescanned_split_state(endpoints, colors, u, quals):
     for j in quals:
         if j not in cells_of:
             continue
-        uf = UnionFind(vertex_count)
-        for a, b in away[j]:
-            uf.union(a, b)
+        root = _dense_roots(vertex_count, away[j])
         group_of_root = {}
         groups[j] = {
-            z: group_of_root.setdefault(uf.find(z), len(group_of_root))
+            z: group_of_root.setdefault(root(z), len(group_of_root))
             for z in cells_of[j]
             if z != _LOOP
         }
