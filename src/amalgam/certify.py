@@ -3,7 +3,8 @@
 A certificate states a host graph, optional part structure, and a list of
 color classes with claimed roles. ``certify`` re-derives every verdict
 from scratch: exact edge-multiset partition, per-class regularity,
-connectivity via union-find, and part-pair fairness where claimed.
+connectivity via union-find for the Hamiltonian roles, and part-pair
+fairness where claimed. Pairs are counted as int keys (``pair_keys``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .multigraph import (
     graph_from_json,
     graph_to_json,
     json_int,
+    pair_keys,
     two_class_graph,
     two_class_parts,
     union,
@@ -79,13 +81,17 @@ class CertifyReport:
 
 
 def certify(cert: DecompositionCertificate) -> CertifyReport:
-    """Pure, total verdict on a decomposition certificate."""
+    """Pure, total verdict on a decomposition certificate.
+
+    The partition holds iff the host's edges and all claimed edges give
+    equal ``Counter``s of int pair keys, min*s + max on s vertices.
+    """
     report = CertifyReport()
     s = cert.host.vertex_count
-    for claim in cert.classes:
-        for a, b in claim.edges:
-            if not (0 <= a < s and 0 <= b < s):
-                report.structural_errors.append(f"unknown vertex in edge ({a},{b})")
+    claimed = [pair for claim in cert.classes for pair in claim.edges]
+    report.structural_errors = [
+        f"unknown vertex in edge ({a},{b})" for a, b in claimed if not (0 <= a < s and 0 <= b < s)
+    ]
     part_of = None
     if cert.parts is not None:
         part_of = {}
@@ -99,11 +105,7 @@ def certify(cert: DecompositionCertificate) -> CertifyReport:
     if report.structural_errors:
         return report
 
-    host_multiset = Counter((min(a, b), max(a, b)) for a, b in cert.host.edges)
-    claimed_multiset: Counter = Counter()
-    for claim in cert.classes:
-        claimed_multiset.update((min(a, b), max(a, b)) for a, b in claim.edges)
-    report.partition_ok = host_multiset == claimed_multiset
+    report.partition_ok = Counter(pair_keys(cert.host.edges, s)) == Counter(pair_keys(claimed, s))
 
     for idx, claim in enumerate(cert.classes):
         report.class_verdicts.append(_check_class(idx, claim, s, part_of))
@@ -112,34 +114,28 @@ def certify(cert: DecompositionCertificate) -> CertifyReport:
 
 def _check_class(idx: int, claim: ClassClaim, s: int, part_of) -> ClassVerdict:
     deg = [0] * s
-    parent: dict[int, int] = {}
-    merges = 0
     for a, b in claim.edges:
         deg[a] += 1
         deg[b] += 1
-        merges += union(parent, a, b)
 
     def is_regular(r: int) -> bool:
-        return all(d == r for d in deg)
-
-    connected = merges == s - 1  # s vertices, one component
+        return deg.count(r) == s
 
     if claim.role == ROLE_HAMILTONIAN or claim.role == ROLE_FAIR_HAMILTONIAN:
         if not is_regular(2):
             return ClassVerdict(idx, claim.role, False, "not 2-regular spanning")
-        if not connected:
+        parent: dict[int, int] = {}
+        # s vertices are one component iff the unions merge s - 1 times
+        if sum([union(parent, a, b) for a, b in claim.edges]) != s - 1:
             return ClassVerdict(idx, claim.role, False, "not connected")
         if claim.role == ROLE_FAIR_HAMILTONIAN:
             if part_of is None:
                 return ClassVerdict(idx, claim.role, False, "fairness claimed without parts")
-            counts: Counter = Counter()
-            for a, b in claim.edges:
-                pa, pb = part_of[a], part_of[b]
-                if pa != pb:
-                    counts[(min(pa, pb), max(pa, pb))] += 1
             num_parts = max(part_of.values()) + 1
+            ends = ((part_of[a], part_of[b]) for a, b in claim.edges)
+            counts = Counter(pair_keys(ends, num_parts))  # same-part keys are never read
             all_pairs = [
-                counts.get((p, q), 0)
+                counts[p * num_parts + q]
                 for p in range(num_parts)
                 for q in range(p + 1, num_parts)
             ]

@@ -339,16 +339,12 @@ def _claims_from_coloring(
     rs: Sequence[int] | None,
     relabel: dict[int, int] | None = None,
 ) -> tuple[ClassClaim, ...]:
+    edges = g.edges if relabel is None else [(relabel[a], relabel[b]) for a, b in g.edges]
+    pairs = [(a, b) if a <= b else (b, a) for a, b in edges]
     claims = []
-    for j in range(1, coloring.k + 1):
-        edges = []
-        for e in coloring.class_edge_ids(j):
-            a, b = g.edges[e]
-            if relabel is not None:
-                a, b = relabel[a], relabel[b]
-            edges.append((min(a, b), max(a, b)))
+    for j, ids in enumerate(coloring.edge_ids_by_class()[1:], start=1):
         r = rs[j - 1] if rs is not None else None
-        claims.append(ClassClaim(roles[j - 1], tuple(edges), r=r))
+        claims.append(ClassClaim(roles[j - 1], tuple(pairs[e] for e in ids), r=r))
     return tuple(claims)
 
 
@@ -422,8 +418,9 @@ def _path_embedding_violations(
         return violations
     matching_class = k if (m + n) % 2 == 0 else None
     deg = color_degrees(base, coloring.colors, k)
+    class_ids = coloring.edge_ids_by_class()
     for j in range(1, k + 1):
-        ids = coloring.class_edge_ids(j)
+        ids = class_ids[j]
         cap = 1 if j == matching_class else 2
         if any(deg[v][j] > cap for v in range(m)):
             violations.append(f"class {j}: a vertex exceeds degree {cap}")
@@ -459,11 +456,12 @@ def _embed(
     deg = color_degrees(base, coloring.colors, coloring.k)
     edges = list(base.edges)
     colors = list(coloring.colors)
+    class_ids = coloring.edge_ids_by_class()
     for j, rj in enumerate(r, start=1):
         for v in range(m):
             edges += [(v, m)] * (rj - deg[v][j])
             colors += [j] * (rj - deg[v][j])
-        loops = len(coloring.class_edge_ids(j)) - rj * (m - n) // 2
+        loops = len(class_ids[j]) - rj * (m - n) // 2
         edges += [(m, m)] * loops
         colors += [j] * loops
     h = Multigraph(m + 1, tuple(edges))
@@ -509,7 +507,7 @@ def _factor_embedding_sigma(
         return violations, None
     deg = color_degrees(base, coloring.colors, k)
     max_deg = [max(deg[v][j] for v in range(m)) if m else 0 for j in range(1, k + 1)]
-    sizes = [len(coloring.class_edge_ids(j)) for j in range(1, k + 1)]
+    sizes = [len(ids) for ids in coloring.edge_ids_by_class()[1:]]
 
     def compatible(j: int, slot: int) -> bool:
         return max_deg[j] <= r[slot] and 2 * sizes[j] >= r[slot] * (m - n)

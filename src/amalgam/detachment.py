@@ -28,10 +28,10 @@ A per-split guard re-checks the component counts, and the output is
 gated by ``verify_detachment``; a split that fails raises
 ``DetachmentError`` naming its vertex, split and color.
 
-The verifier counts only the sibling pairs that occur in the output: a
-pair that does not occur carries 0 edges, which its floor allows iff
-H's count is below the pair's share. So it costs O(E + V_G k) for E
-edges, V_G output vertices and k colors, not a visit per sibling pair.
+The verifier counts only the sibling pairs that occur in the output, as
+int keys: a pair that does not occur carries 0 edges, which its floor
+allows iff H's count is below the pair's share. So it costs O(E + V_G k)
+for E edges, V_G output vertices and k colors, not a visit per pair.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import le
 from typing import Sequence
 
 from .flows import feasible_circulation
@@ -46,9 +47,9 @@ from .multigraph import (
     AmalgamationSpec,
     EdgeColoring,
     Multigraph,
-    approx,
     color_degrees,
     find,
+    pair_keys,
     union,
 )
 
@@ -126,12 +127,12 @@ def edge_component_count(edges) -> int:
 
 def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> list[int]:
     """Colors j with d_{H(j)}(v)/eta(v) an even integer at every vertex."""
-    out = []
-    deg = color_degrees(h, coloring.colors, coloring.k)
-    for j in range(1, coloring.k + 1):
-        if all(deg[v][j] % (2 * eta[v]) == 0 for v in range(h.vertex_count)):
-            out.append(j)
-    return out
+    return _qualifying(color_degrees(h, coloring.colors, coloring.k), eta, coloring.k)
+
+
+def _qualifying(deg: list[list[int]], eta: Sequence[int], k: int) -> list[int]:
+    """The qualifying colors, read off H's color-degree table."""
+    return [j for j in range(1, k + 1) if all(row[j] % (2 * n) == 0 for row, n in zip(deg, eta))]
 
 
 def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> DetachmentResult:
@@ -140,24 +141,24 @@ def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> Detachm
         raise DetachmentContractError("eta must be total on V(H)")
     if len(coloring.colors) != h.edge_count:
         raise DetachmentContractError("coloring does not match H")
-    for v, n in enumerate(eta):
-        if n < 1:
-            raise DetachmentContractError(f"eta({v}) must be positive")
-        if n == 1 and h.loop_count(v) > 0:
-            raise DetachmentContractError(f"eta({v})=1 but vertex {v} has loops")
-
-    colors = coloring.colors
-    quals = qualifying_colors(h, coloring, eta)
-    endpoints = [list(pair) for pair in h.edges]
-    # one pass: each vertex's edges, and each qualifying color's edges
+    # one pass: each vertex's edges and loops
     incident: list[list[int]] = [[] for _ in range(h.vertex_count)]
-    class_edges: dict[int, list[int]] = {j: [] for j in quals}
+    loops = [0] * h.vertex_count
     for eid, (a, b) in enumerate(h.edges):
         incident[a].append(eid)
         if b != a:
             incident[b].append(eid)
-        if colors[eid] in class_edges:
-            class_edges[colors[eid]].append(eid)
+        else:
+            loops[a] += 1
+    for v, n in enumerate(eta):
+        if n < 1:
+            raise DetachmentContractError(f"eta({v}) must be positive")
+        if n == 1 and loops[v]:
+            raise DetachmentContractError(f"eta({v})=1 but vertex {v} has loops")
+
+    colors, by_color = coloring.colors, coloring.edge_ids_by_class()
+    class_edges = {j: by_color[j] for j in qualifying_colors(h, coloring, eta)}
+    endpoints = [list(pair) for pair in h.edges]
     phi = list(range(h.vertex_count))
     labels: dict[int, list[int]] = {v: [] for v in range(h.vertex_count)}
     vertex_count = h.vertex_count
@@ -406,19 +407,21 @@ def verify_detachment(
 ) -> DetachmentReport:
     """Exact evaluation of the seven detachment properties plus structure.
 
-    A1/A2 hold each vertex's degrees to its image's degrees over eta. For
-    A3-A6, every sibling pair of (u, v) must carry want/share of H's u-v
-    edges, per color and over all colors, up to rounding: ``want`` is H's
-    count and ``share`` the number of sibling pairs, eta(u)eta(v), or
-    C(eta(u), 2) for loops. Only the pairs that occur in G are counted. A
-    pair that does not occur carries 0, which the floor allows iff
-    want < share, so an H pair with want >= share must be met by all its
-    sibling pairs. One pass over the edges: O(E + V_G k) for k colors.
+    A pair {a, b} of a graph on V vertices is the int key min*V + max, and a
+    pair of color c is key*(k+1) + c. A1/A2 hold each vertex's degrees between
+    its image's floor and ceil rows, d // eta and -(-d // eta). For A3-A6,
+    every sibling pair of (u, v) must carry want/share of H's u-v edges, per
+    color and over all colors, up to rounding: ``share`` is eta(u)eta(v), or
+    C(eta(u), 2) for loops. Only the pairs that occur in G are counted, and
+    each distinct (H key, count) is tested once. A pair that does not occur
+    carries 0, which the floor allows iff want < share, so an H key with
+    want >= share must be met by all its sibling pairs. O(E + V_G k).
     """
     errors = []
     g, spec = result.g, result.spec
     eta, phi = spec.eta, spec.phi
-    if len(eta) != h.vertex_count:
+    nv = h.vertex_count
+    if len(eta) != nv:
         errors.append("eta not total on V(H)")
     errors += [f"eta({v}) must be positive" for v, n in enumerate(eta) if n < 1]
     if len(phi) != g.vertex_count:
@@ -428,11 +431,14 @@ def verify_detachment(
     if result.coloring.k != coloring.k or result.coloring.colors != coloring.colors:
         errors.append("coloring was not carried over by edge identity")
     if not errors:
-        for e, (a, b) in enumerate(g.edges):
-            ha, hb = h.edges[e]
-            if {phi[a], phi[b]} != {ha, hb}:
-                errors.append(f"edge {e} endpoints disagree with phi")
-                break
+        keys = pair_keys(h.edges, nv)
+        images = [
+            phi[a] * nv + phi[b] if phi[a] <= phi[b] else phi[b] * nv + phi[a]
+            for a, b in g.edges
+        ]
+        if images != keys:
+            e = next(e for e, (x, y) in enumerate(zip(images, keys)) if x != y)
+            errors.append(f"edge {e} endpoints disagree with phi")
     if any(a == b for a, b in g.edges):
         errors.append("detached graph has loops")
     if errors:
@@ -443,39 +449,26 @@ def verify_detachment(
     details: dict[str, str] = {}
 
     deg_h = color_degrees(h, colors, k)
-    for w, row in enumerate(color_degrees(g, colors, k)):
-        row_h, n = deg_h[phi[w]], eta[phi[w]]
-        if not approx(sum(row), sum(row_h) / n):
-            props["A1"] = False
-        if not all(approx(row[j], row_h[j] / n) for j in range(1, k + 1)):
-            props["A2"] = False
+    lows = [[d // n for d in row] for row, n in zip(deg_h, eta)]
+    highs = [[-(-d // n) for d in row] for row, n in zip(deg_h, eta)]
+    totals = [(sum(row) // n, -(-sum(row) // n)) for row, n in zip(deg_h, eta)]
+    for u, row in zip(phi, color_degrees(g, colors, k)):
+        props["A1"] &= totals[u][0] <= sum(row) <= totals[u][1]
+        props["A2"] &= all(map(le, lows[u], row)) and all(map(le, row, highs[u]))
 
-    def share(u: int, v: int) -> int:
-        return math.comb(eta[u], 2) if u == v else eta[u] * eta[v]
+    # loops (A3, A4) or pairs (A5, A6), over all colors or per color
+    g_keys = pair_keys(g.edges, g.vertex_count)
+    for loop in _failing_pairs(keys, g_keys, eta, 1):
+        props["A3" if loop else "A5"] = False
+    color_keys = [key * (k + 1) + c for key, c in zip(keys, colors)]
+    g_color_keys = [key * (k + 1) + c for key, c in zip(g_keys, colors)]
+    for loop in _failing_pairs(color_keys, g_color_keys, eta, k + 1):
+        props["A4" if loop else "A6"] = False
 
-    def fail(u: int, v: int, j: int) -> None:
-        # loops (A3, A4) or pairs (A5, A6), over all colors or per color
-        props[("A3", "A4", "A5", "A6")[2 * (u != v) + (j != 0)]] = False
-
-    want = _pair_counts(h, colors)
-    met: Counter = Counter()  # H key -> sibling pairs that occur in G
-    for (a, b, j), count in _pair_counts(g, colors).items():
-        u, v = (phi[a], phi[b]) if phi[a] <= phi[b] else (phi[b], phi[a])
-        met[(u, v, j)] += 1
-        if not approx(count, want[(u, v, j)] / share(u, v)):
-            fail(u, v, j)
-    for (u, v, j), count in want.items():
-        if count >= share(u, v) and met[(u, v, j)] != share(u, v):
-            fail(u, v, j)
-
-    # each qualifying class's edges in H and in G, gathered in one pass
-    classes = {j: ([], []) for j in qualifying_colors(h, coloring, eta)}
-    for e, c in enumerate(colors):
-        if c in classes:
-            classes[c][0].append(h.edges[e])
-            classes[c][1].append(g.edges[e])
-    for j, (edges_h, edges_g) in classes.items():
-        ch, cg = edge_component_count(edges_h), edge_component_count(edges_g)
+    by_color = coloring.edge_ids_by_class()
+    for j in _qualifying(deg_h, eta, k):
+        ch = edge_component_count([h.edges[e] for e in by_color[j]])
+        cg = edge_component_count([g.edges[e] for e in by_color[j]])
         if cg != ch:
             props["A7"] = False
             details["A7"] = f"color {j}: {cg} != {ch}"
@@ -483,11 +476,18 @@ def verify_detachment(
     return DetachmentReport(True, [], props, details)
 
 
-def _pair_counts(graph: Multigraph, colors: Sequence[int]) -> Counter:
-    """Edge counts keyed (min, max, j): j is a color, or 0 for all colors."""
-    counts: Counter = Counter()
-    for (a, b), c in zip(graph.edges, colors):
-        lo, hi = (a, b) if a <= b else (b, a)
-        counts[(lo, hi, 0)] += 1
-        counts[(lo, hi, c)] += 1
-    return counts
+def _failing_pairs(h_keys: list[int], g_keys: list[int], eta, scale: int) -> set[bool]:
+    """Loop or not, for each failing H key: a pair key, or pair key * scale + color."""
+    want = Counter(h_keys)
+    got = Counter(g_keys)
+    to_h = dict(zip(g_keys, h_keys))  # edge e maps G's pair onto H's
+    met = Counter(to_h.values())  # H key -> its sibling pairs that occur in G
+    share, loop = {}, {}
+    for key in want:
+        u, v = divmod(key // scale, len(eta))
+        share[key], loop[key] = math.comb(eta[u], 2) if u == v else eta[u] * eta[v], u == v
+    failing = {key for key, n in want.items() if n >= share[key] and met[key] != share[key]}
+    for key, count in set(zip(map(to_h.__getitem__, got), got.values())):
+        if not want[key] // share[key] <= count <= -(-want[key] // share[key]):
+            failing.add(key)
+    return {loop[key] for key in failing}

@@ -8,18 +8,12 @@ the degree of their vertex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 
 class GraphUsageError(ValueError):
     """Raised for out-of-range vertex/edge ids or malformed arguments."""
-
-
-def approx(x: int, y: float) -> bool:
-    """floor(y) <= x <= ceil(y)."""
-    return math.floor(y) <= x <= math.ceil(y)
 
 
 @dataclass(frozen=True)
@@ -101,6 +95,13 @@ class EdgeColoring:
             raise GraphUsageError(f"color {j} outside 1..{self.k}")
         return [e for e, c in enumerate(self.colors) if c == j]
 
+    def edge_ids_by_class(self) -> list[list[int]]:
+        """Every class's edge ids in one pass: index j for color j, 0 empty."""
+        ids: list[list[int]] = [[] for _ in range(self.k + 1)]
+        for e, c in enumerate(self.colors):
+            ids[c].append(e)
+        return ids
+
 
 def color_class(g: Multigraph, coloring: EdgeColoring, j: int) -> Multigraph:
     """Spanning subgraph induced by the edges colored j (may be empty)."""
@@ -167,6 +168,11 @@ def amalgamate(g: Multigraph, phi: Sequence[int]) -> tuple[Multigraph, Amalgamat
     for image in dense:
         eta[image] += 1
     return h, AmalgamationSpec(tuple(eta), dense)
+
+
+def pair_keys(edges: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """Each edge's unordered pair {a, b} of a graph on n vertices as min*n + max."""
+    return [a * n + b if a <= b else b * n + a for a, b in edges]
 
 
 # ---------------------------------------------------------------------------

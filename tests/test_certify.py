@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 from amalgam import (
     ClassClaim,
     DecompositionCertificate,
+    EdgeColoring,
     GraphUsageError,
+    InfeasibleError,
     Multigraph,
     ROLE_FAIR_HAMILTONIAN,
     ROLE_HAMILTONIAN,
@@ -17,11 +20,20 @@ from amalgam import (
     certificate_to_json,
     certify,
     complete_graph,
+    embed_complete_paths,
+    embed_factorization,
+    factorize_complete,
+    factorize_multipartite,
     ham_decompose_complete,
+    ham_decompose_multipartite,
+    ham_decompose_two_class,
+    ham_plus_one_factor_two_class,
     two_class_graph,
     two_class_parts,
     walecki_direct,
 )
+from amalgam.certify import CertifyReport, ClassVerdict
+from amalgam.multigraph import union
 
 
 def _k7_cert():
@@ -105,8 +117,6 @@ def test_fairness_checked_against_parts():
     # hexagon alternating between part pairs evenly: 2 edges per part pair
     fair_cycle = ((0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0))
     unfair_cycle = ((0, 2), (2, 1), (1, 3), (3, 4), (4, 5), (5, 0))
-    from collections import Counter
-
     host_count = Counter((min(a, b), max(a, b)) for a, b in host.edges)
     used = Counter((min(a, b), max(a, b)) for a, b in fair_cycle)
     rest = list((host_count - used).elements())
@@ -241,3 +251,211 @@ def test_metamorphic_relabeling_preserves_verdict(seed, tamper):
     assert [v.passed for v in before.class_verdicts] == [
         v.passed for v in after.class_verdicts
     ]
+
+
+def _reference_certify(cert):
+    """Oracle: certify as it was before it keyed pairs by ints.
+
+    It compares ``Counter``s of (min, max) tuples and builds a union-find
+    for every class, whatever its role.
+    """
+    report = CertifyReport()
+    s = cert.host.vertex_count
+    for claim in cert.classes:
+        for a, b in claim.edges:
+            if not (0 <= a < s and 0 <= b < s):
+                report.structural_errors.append(f"unknown vertex in edge ({a},{b})")
+    part_of = None
+    if cert.parts is not None:
+        part_of = {}
+        for p, members in enumerate(cert.parts):
+            for v in members:
+                if not (0 <= v < s) or v in part_of:
+                    report.structural_errors.append("malformed part structure")
+                part_of[v] = p
+        if len(part_of) != s:
+            report.structural_errors.append("parts do not cover all vertices")
+    if report.structural_errors:
+        return report
+    host_multiset = Counter((min(a, b), max(a, b)) for a, b in cert.host.edges)
+    claimed_multiset: Counter = Counter()
+    for claim in cert.classes:
+        claimed_multiset.update((min(a, b), max(a, b)) for a, b in claim.edges)
+    report.partition_ok = host_multiset == claimed_multiset
+    for idx, claim in enumerate(cert.classes):
+        report.class_verdicts.append(_reference_class(idx, claim, s, part_of))
+    return report
+
+
+def _reference_class(idx, claim, s, part_of):
+    deg = [0] * s
+    parent = {}
+    merges = 0
+    for a, b in claim.edges:
+        deg[a] += 1
+        deg[b] += 1
+        merges += union(parent, a, b)
+    role = claim.role
+    if role in (ROLE_HAMILTONIAN, ROLE_FAIR_HAMILTONIAN):
+        if not all(d == 2 for d in deg):
+            return ClassVerdict(idx, role, False, "not 2-regular spanning")
+        if merges != s - 1:
+            return ClassVerdict(idx, role, False, "not connected")
+        if role == ROLE_FAIR_HAMILTONIAN:
+            if part_of is None:
+                return ClassVerdict(idx, role, False, "fairness claimed without parts")
+            counts: Counter = Counter()
+            for a, b in claim.edges:
+                pa, pb = part_of[a], part_of[b]
+                if pa != pb:
+                    counts[(min(pa, pb), max(pa, pb))] += 1
+            num_parts = max(part_of.values()) + 1
+            all_pairs = [
+                counts.get((p, q), 0) for p in range(num_parts) for q in range(p + 1, num_parts)
+            ]
+            if all_pairs and max(all_pairs) - min(all_pairs) > 1:
+                return ClassVerdict(idx, role, False, "part-pair counts not within 1")
+        return ClassVerdict(idx, role, True)
+    if role == ROLE_ONE_FACTOR:
+        if not all(d == 1 for d in deg):
+            return ClassVerdict(idx, role, False, "not a perfect matching")
+        return ClassVerdict(idx, role, True)
+    if role == ROLE_R_FACTOR:
+        if claim.r is None or claim.r < 0:
+            return ClassVerdict(idx, role, False, "missing factor degree")
+        if not all(d == claim.r for d in deg):
+            return ClassVerdict(idx, role, False, f"not {claim.r}-regular spanning")
+        return ClassVerdict(idx, role, True)
+    return ClassVerdict(idx, role, False, f"unknown role {role!r}")
+
+
+def _builder_outputs():
+    """Every builder over a small grid, lambda >= 2 hosts included."""
+    k4 = complete_graph(4, 1)
+    k4_paths = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3}
+    calls = []
+    for n in range(1, 8):
+        for lam in range(1, 4):
+            calls.append((walecki_direct, n, lam))
+            calls.append((ham_decompose_complete, n, lam))
+    calls += [
+        (factorize_complete, 5, 1, (2, 2)),
+        (factorize_complete, 4, 1, (1, 1, 1)),
+        (factorize_complete, 4, 2, (2, 4)),
+        (factorize_complete, 6, 2, (4, 3, 3)),
+        (embed_complete_paths, complete_graph(1, 1), EdgeColoring(1, ()), 2),
+        (embed_complete_paths, k4, EdgeColoring(3, tuple(k4_paths[e] for e in k4.edges)), 2),
+        (embed_complete_paths, complete_graph(3, 1), EdgeColoring(2, (1, 2, 1)), 1),
+        (embed_factorization, complete_graph(2, 1), EdgeColoring(2, (1,)), 3, (2, 2)),
+        (embed_factorization, complete_graph(3, 1), EdgeColoring(2, (1, 1, 2)), 2, (2, 2)),
+        (factorize_multipartite, 2, 3, 1, (2, 2)),
+        (factorize_multipartite, 2, 2, 2, (2, 2)),
+    ]
+    for n, m, lam in ((1, 3, 1), (2, 3, 1), (3, 3, 1), (2, 4, 1), (2, 2, 2), (3, 3, 2)):
+        calls.append((ham_decompose_multipartite, n, m, lam))
+        calls.append((ham_decompose_multipartite, n, m, lam, True))
+    for n, m, lam, mu in ((2, 3, 2, 1), (3, 2, 2, 1), (2, 2, 1, 2), (3, 3, 2, 2), (2, 4, 3, 1)):
+        calls.append((ham_decompose_two_class, n, m, lam, mu))
+        calls.append((ham_plus_one_factor_two_class, n, m, lam, mu))
+    outputs = []
+    for builder, *args in calls:
+        try:
+            outputs.append((builder.__name__, builder(*args)))
+        except InfeasibleError:
+            continue
+    return outputs
+
+
+def _with_class(cert, idx, claim):
+    classes = list(cert.classes)
+    classes[idx] = claim
+    return DecompositionCertificate(cert.host, tuple(classes), cert.parts)
+
+
+def _tampered(cert):
+    """Copies of a certificate, each broken (or only reworded) in one way."""
+    s = cert.host.vertex_count
+    out = []
+    for idx, c in enumerate(cert.classes):
+        if not c.edges:
+            continue
+        (a, b), rest = c.edges[0], c.edges[1:]
+        out += [
+            _with_class(cert, idx, ClassClaim(c.role, ((b, a),) + rest, c.r)),
+            _with_class(cert, idx, ClassClaim(c.role, c.edges + ((a, b),), c.r)),
+            _with_class(cert, idx, ClassClaim(c.role, rest, c.r)),
+            _with_class(cert, idx, ClassClaim(c.role, ((a, a),) + rest, c.r)),
+            _with_class(cert, idx, ClassClaim(c.role, ((a, s),) + rest, c.r)),
+            _with_class(cert, idx, ClassClaim(c.role, ((-1, b),) + rest, c.r)),
+            _with_class(cert, idx, ClassClaim(ROLE_ONE_FACTOR, c.edges)),
+            _with_class(cert, idx, ClassClaim(ROLE_HAMILTONIAN, c.edges)),
+            _with_class(cert, idx, ClassClaim(ROLE_FAIR_HAMILTONIAN, c.edges)),
+            _with_class(cert, idx, ClassClaim(ROLE_R_FACTOR, c.edges, (c.r or 2) + 1)),
+            _with_class(cert, idx, ClassClaim(ROLE_R_FACTOR, c.edges, -1)),
+            _with_class(cert, idx, ClassClaim(ROLE_R_FACTOR, c.edges)),
+            _with_class(cert, idx, ClassClaim("mystery", c.edges)),
+        ]
+        other = (idx + 1) % len(cert.classes)
+        if other != idx:
+            moved = _with_class(cert, idx, ClassClaim(c.role, rest, c.r))
+            target = cert.classes[other]
+            out.append(_with_class(
+                moved, other, ClassClaim(target.role, target.edges + ((a, b),), target.r)
+            ))
+    out.append(DecompositionCertificate(cert.host, cert.classes[:-1], cert.parts))
+    if s:
+        out += [
+            DecompositionCertificate(cert.host, cert.classes, ((0, 0),) + tuple(
+                (v,) for v in range(1, s)
+            )),
+            DecompositionCertificate(cert.host, cert.classes, (tuple(range(s - 1)),)),
+            DecompositionCertificate(cert.host, cert.classes, (tuple(range(s)), (s,))),
+        ]
+    if cert.parts is not None:
+        out.append(DecompositionCertificate(cert.host, cert.classes, None))
+        out.append(DecompositionCertificate(cert.host, cert.classes, cert.parts[::-1]))
+    return out
+
+
+def _loop_certificates():
+    loop = ((0, 0),)
+    two_loops = Multigraph(2, ((0, 0), (0, 1), (1, 1), (0, 1)))
+    return [
+        DecompositionCertificate(Multigraph(1, loop), (ClassClaim(ROLE_HAMILTONIAN, loop),)),
+        DecompositionCertificate(Multigraph(1, loop * 2), (
+            ClassClaim(ROLE_HAMILTONIAN, loop), ClassClaim(ROLE_R_FACTOR, loop, 2),
+        )),
+        DecompositionCertificate(two_loops, (
+            ClassClaim(ROLE_HAMILTONIAN, ((0, 1), (1, 0))),
+            ClassClaim(ROLE_R_FACTOR, ((0, 0), (1, 1)), 2),
+        ), ((0,), (1,))),
+        DecompositionCertificate(Multigraph(0, ()), (ClassClaim(ROLE_HAMILTONIAN, ()),)),
+    ]
+
+
+def test_certify_matches_reference_on_builder_outputs_and_tampered_copies():
+    outputs = _builder_outputs()
+    assert {name for name, _ in outputs} == {
+        "walecki_direct", "ham_decompose_complete", "factorize_complete",
+        "embed_complete_paths", "embed_factorization", "ham_decompose_multipartite",
+        "factorize_multipartite", "ham_decompose_two_class", "ham_plus_one_factor_two_class",
+    }
+    certs = [cert for _, cert in outputs] + _loop_certificates()
+    passed: Counter = Counter()
+    seen: set[str] = set()  # class reasons and structural errors
+    for cert in certs:
+        for case in [cert] + _tampered(cert):
+            report = certify(case)
+            assert report.to_json() == _reference_certify(case).to_json(), case
+            passed[report.passed] += 1
+            seen.update(v.reason for v in report.class_verdicts)
+            seen.update(report.structural_errors)
+    assert all(certify(cert).passed for _, cert in outputs)
+    assert passed[True] and passed[False]
+    # every verdict the reference can give shows up at least once
+    assert {
+        "not 2-regular spanning", "not connected", "fairness claimed without parts",
+        "part-pair counts not within 1", "not a perfect matching", "missing factor degree",
+        "unknown role 'mystery'", "malformed part structure", "parts do not cover all vertices",
+    } <= seen
+    assert any(reason.startswith("unknown vertex") for reason in seen)

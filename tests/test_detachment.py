@@ -24,7 +24,7 @@ from amalgam import (
     walecki_direct,
 )
 from amalgam.detachment import _LOOP, _SplitCounts, _Star, edge_component_count
-from amalgam.multigraph import approx, color_degrees
+from amalgam.multigraph import color_degrees
 from tests.conftest import random_detachment_instance
 
 
@@ -66,6 +66,21 @@ def test_loop_at_unsplit_vertex_rejected():
     h = Multigraph(1, ((0, 0),))
     with pytest.raises(DetachmentContractError):
         detach(h, EdgeColoring(1, (1,)), [1])
+
+
+def test_loop_at_a_late_unsplit_vertex_is_named(monkeypatch):
+    # loops come from the incidence pass; no per-vertex rescan of the edges
+    monkeypatch.setattr(Multigraph, "loop_count", None)
+    h = Multigraph(4, ((0, 0), (0, 1), (1, 1), (2, 3), (3, 3)))
+    coloring = EdgeColoring(1, (1,) * 5)
+    with pytest.raises(DetachmentContractError, match=r"^eta\(3\)=1 but vertex 3 has loops$"):
+        detach(h, coloring, [2, 3, 1, 1])
+    # the first failing vertex in vertex order is named, whichever its fault
+    with pytest.raises(DetachmentContractError, match=r"^eta\(2\) must be positive$"):
+        detach(h, coloring, [2, 3, 0, 1])
+    with pytest.raises(DetachmentContractError, match=r"^eta\(1\)=1 but vertex 1 has loops$"):
+        detach(h, coloring, [2, 1, 0, 1])
+    assert verify_detachment(h, coloring, detach(h, coloring, [2, 3, 1, 2])).all_passed
 
 
 def test_adversarial_result_fails_pair_quota():
@@ -158,6 +173,19 @@ def test_random_instances_pass_all_properties():
         report = verify_detachment(h, coloring, result)
         assert report.all_passed, (h.edges, coloring.colors, eta, report.properties)
         done += 1
+
+
+def approx(x: int, y: float) -> bool:
+    """floor(y) <= x <= ceil(y): the oracle's float window."""
+    return math.floor(y) <= x <= math.ceil(y)
+
+
+def test_approx_floor_ceil():
+    assert approx(3, 7 / 2)
+    assert approx(4, 7 / 2)
+    assert not approx(5, 7 / 2)
+    assert approx(2, 2.0)
+    assert not approx(1, 2.0)
 
 
 def _pairwise_verify_detachment(h, coloring, result):

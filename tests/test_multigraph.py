@@ -14,7 +14,7 @@ from amalgam import (
     two_class_graph,
     two_class_parts,
 )
-from amalgam.multigraph import approx, color_class, color_class_degree, color_degrees
+from amalgam.multigraph import color_class, color_class_degree, color_degrees
 
 
 def test_loop_contributes_two_to_degree():
@@ -23,14 +23,6 @@ def test_loop_contributes_two_to_degree():
     assert g.degree(1) == 1
     assert g.loop_count(0) == 1
     assert g.loop_count(1) == 0
-
-
-def test_approx_floor_ceil():
-    assert approx(3, 7 / 2)
-    assert approx(4, 7 / 2)
-    assert not approx(5, 7 / 2)
-    assert approx(2, 2.0)
-    assert not approx(1, 2.0)
 
 
 def test_multiplicity_and_degree_sum():
