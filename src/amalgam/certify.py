@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .multigraph import (
     GraphUsageError,
@@ -22,7 +22,6 @@ from .multigraph import (
     json_int,
     pair_keys,
     two_class_graph,
-    two_class_parts,
     union,
 )
 
@@ -181,13 +180,19 @@ def host_from_json(obj: Mapping) -> Multigraph:
     if "edges" in obj:
         return graph_from_json(obj)
     kind = obj.get("kind")
+
+    def count(key: str, default: int | None = None) -> int:
+        x = json_int(obj[key] if default is None else obj.get(key, default))
+        if x < 0:
+            raise GraphUsageError(f"host {key}={x} is negative")
+        return x
+
     if kind == "complete":
-        return complete_graph(json_int(obj["n"]), json_int(obj.get("lambda", 1)))
+        return complete_graph(count("n"), count("lambda", 1))
     if kind == "two-class":
-        return two_class_graph(*(json_int(obj[key]) for key in ("n", "m", "lambda", "mu")))
+        return two_class_graph(*(count(key) for key in ("n", "m", "lambda", "mu")))
     if kind == "multipartite":
-        n, m = json_int(obj["n"]), json_int(obj["m"])
-        return two_class_graph(n, m, 0, json_int(obj.get("lambda", 1)))
+        return two_class_graph(count("n"), count("m"), 0, count("lambda", 1))
     raise GraphUsageError(f"unknown host kind {kind!r}")
 
 

@@ -17,7 +17,6 @@ import time
 
 from .certify import (
     DecompositionCertificate,
-    ROLE_R_FACTOR,
     certificate_from_json,
     certificate_to_json,
     certify,
@@ -64,8 +63,11 @@ def _dump(obj, out: str | None) -> None:
 
 def _write_text(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as f:
-            f.write(text)
+        try:
+            with open(out, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -118,6 +120,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dec = sub.add_parser("decompose", help="build a certified decomposition")
+    dec.set_defaults(func=_cmd_decompose)
     dsub = dec.add_subparsers(dest="target", required=True)
 
     def common(p):
@@ -157,6 +160,7 @@ def build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("color", help="edge-color a graph from JSON")
+    p.set_defaults(func=_cmd_color)
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--mode", choices=["bee", "even"], required=True)
     p.add_argument("-k", type=int, required=True)
@@ -164,15 +168,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("detach", help="split a colored graph per a multiplicity map")
+    p.set_defaults(func=_cmd_detach)
     p.add_argument("input", help="JSON file with graph + coloring")
     p.add_argument("--eta", required=True, help="JSON file: per-vertex split counts")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="check a decomposition certificate")
+    p.set_defaults(func=_cmd_verify)
     p.add_argument("certificate", help="certificate JSON file")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sweep", help="two-multiplicity grid: build and certify every cell")
+    p.set_defaults(func=_cmd_sweep)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--lambda-max", dest="lam_max", type=int, default=3)
@@ -292,23 +299,15 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "color":
-            return _cmd_color(args)
-        if args.command == "detach":
-            return _cmd_detach(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return EXIT_USAGE
+        try:
+            return args.func(args)
+        except InfeasibleError as exc:
+            # written where the result would have gone; a failed write is a usage error below
+            _dump(exc.report.to_json(), getattr(args, "out", None))
+            return EXIT_INFEASIBLE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleError as exc:
-        _dump(exc.report.to_json(), getattr(args, "out", None))
-        return EXIT_INFEASIBLE
     except (GraphUsageError, ColoringContractError, DetachmentContractError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -69,12 +69,11 @@ class DecompositionRequest:
 
 @dataclass
 class FeasibilityReport:
-    feasible: bool = True
     violations: list[str] = field(default_factory=list)
 
-    @staticmethod
-    def violated(violations: list[str]) -> "FeasibilityReport":
-        return FeasibilityReport(feasible=not violations, violations=violations)
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
     def to_json(self) -> dict:
         return {"feasible": self.feasible, "violations": list(self.violations)}
@@ -118,30 +117,30 @@ def check_feasibility(req: DecompositionRequest) -> FeasibilityReport:
     if kind == "two-class":
         return _two_class_feasibility(req.n, req.m, req.lam, req.mu, req.parts)
     if kind == "factorize-complete":
-        return _factorization_feasibility(req.n, req.lam, req.r, per_vertex=req.n)
+        return _factorization_feasibility(req.n, req.lam, req.r)
     if kind == "factorize-multipartite":
+        # no vertices unless n, m >= 1: two negative sizes multiply to a positive count
+        vertices = req.n * req.m if min(req.n, req.m) >= 1 else 0
         out = _factorization_feasibility(
-            req.n * req.m, req.lam, req.r, per_vertex=req.n * req.m,
-            degree=req.lam * req.n * (req.m - 1),
+            vertices, req.lam, req.r, degree=req.lam * req.n * (req.m - 1)
         )
         if req.parts is not None and len(set(req.parts)) > 1:
             out.violations.append("(i) parts must have equal sizes")
-            out.feasible = False
         return out
     if kind == "embed-paths":
         if req.base_graph is None or req.base_coloring is None:
-            return FeasibilityReport.violated(["embedding requires a base coloring"])
-        return FeasibilityReport.violated(
+            return FeasibilityReport(["embedding requires a base coloring"])
+        return FeasibilityReport(
             _path_embedding_violations(req.base_graph, req.base_coloring, req.extra)
         )
     if kind == "embed-factorization":
         if req.base_graph is None or req.base_coloring is None:
-            return FeasibilityReport.violated(["embedding requires a base coloring"])
+            return FeasibilityReport(["embedding requires a base coloring"])
         violations, _ = _factor_embedding_sigma(
             req.base_graph, req.base_coloring, req.extra, req.r
         )
-        return FeasibilityReport.violated(violations)
-    return FeasibilityReport.violated([f"unknown request kind {kind!r}"])
+        return FeasibilityReport(violations)
+    return FeasibilityReport([f"unknown request kind {kind!r}"])
 
 
 def _complete_feasibility(n: int, lam: int) -> FeasibilityReport:
@@ -152,14 +151,13 @@ def _complete_feasibility(n: int, lam: int) -> FeasibilityReport:
         violations.append(
             f"odd degree {lam * (n - 1)} needs a perfect matching, impossible on {n} vertices"
         )
-    return FeasibilityReport.violated(violations)
+    return FeasibilityReport(violations)
 
 
 def _multipartite_feasibility(n, m, lam, parts, fair=False) -> FeasibilityReport:
-    violations = []
     if n < 1 or m < 1 or lam < 0:
-        violations.append("n, m must be >= 1 and lambda >= 0")
-        return FeasibilityReport.violated(violations)
+        return FeasibilityReport(["n, m must be >= 1 and lambda >= 0"])
+    violations = []
     if parts is not None and len(set(parts)) > 1:
         violations.append("(i) parts must have equal sizes")
     degree = lam * n * (m - 1)
@@ -169,16 +167,20 @@ def _multipartite_feasibility(n, m, lam, parts, fair=False) -> FeasibilityReport
         )
     if fair and lam != 1:
         violations.append("fair decomposition is only supported for multiplicity 1")
-    return FeasibilityReport.violated(violations)
+    return FeasibilityReport(violations)
+
+
+def _two_class_degree(n: int, m: int, lam: int, mu: int) -> int:
+    """Vertex degree of K(n^(m); lambda, mu); 0 when the host has no vertices."""
+    return lam * (n - 1) + mu * n * (m - 1) if n * m else 0
 
 
 def _two_class_feasibility(n, m, lam, mu, parts) -> FeasibilityReport:
-    violations = []
     if n < 1 or m < 1 or lam < 0 or mu < 0:
-        return FeasibilityReport.violated(["n, m must be >= 1 and lambda, mu >= 0"])
+        return FeasibilityReport(["n, m must be >= 1 and lambda, mu >= 0"])
     if parts is not None and len(set(parts)) > 1:
-        violations.append("(i) parts must have equal sizes")
-        return FeasibilityReport.violated(violations)
+        return FeasibilityReport(["(i) parts must have equal sizes"])
+    violations = []
     # degenerate shapes reduce to a complete or multipartite host
     if m == 1:
         return _complete_feasibility(n, lam)
@@ -195,8 +197,8 @@ def _two_class_feasibility(n, m, lam, mu, parts) -> FeasibilityReport:
             violations.append(
                 "multiple parts with no cross edges: the graph is disconnected"
             )
-        return FeasibilityReport.violated(violations)
-    degree = lam * (n - 1) + mu * n * (m - 1)
+        return FeasibilityReport(violations)
+    degree = _two_class_degree(n, m, lam, mu)
     if degree % 2 == 0:
         if lam > mu * n * (m - 1):
             violations.append(f"(iii) lambda={lam} > mu*n*(m-1)={mu * n * (m - 1)}")
@@ -205,27 +207,25 @@ def _two_class_feasibility(n, m, lam, mu, parts) -> FeasibilityReport:
             violations.append(f"(iii) lambda={lam} > mu*n*(m-1)={mu * n * (m - 1)}")
         if n == 2 and lam - 1 > 2 * mu * (m - 1):
             violations.append(f"(iii) lambda-1={lam - 1} > 2*mu*(m-1)={2 * mu * (m - 1)}")
-    return FeasibilityReport.violated(violations)
+    return FeasibilityReport(violations)
 
 
-def _factorization_feasibility(n, lam, r, per_vertex, degree=None) -> FeasibilityReport:
+def _factorization_feasibility(n, lam, r, degree=None) -> FeasibilityReport:
     violations = []
     if degree is None:
         degree = lam * (n - 1)
     if n < 1 or lam < 0:
-        violations.append("n must be >= 1 and lambda >= 0")
-        return FeasibilityReport.violated(violations)
+        return FeasibilityReport(["n must be >= 1 and lambda >= 0"])
     if not r:
-        violations.append("factor degree sequence must be nonempty")
-        return FeasibilityReport.violated(violations)
+        return FeasibilityReport(["factor degree sequence must be nonempty"])
     for i, ri in enumerate(r):
         if ri < 0:
             violations.append(f"r[{i}]={ri} is negative")
-        elif ri * per_vertex % 2:
-            violations.append(f"r[{i}]*|V| = {ri * per_vertex} is odd")
+        elif ri * n % 2:
+            violations.append(f"r[{i}]*|V| = {ri * n} is odd")
     if sum(r) != degree:
         violations.append(f"sum(r)={sum(r)} != degree {degree}")
-    return FeasibilityReport.violated(violations)
+    return FeasibilityReport(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def ham_decompose_complete(n: int, lam: int) -> DecompositionCertificate:
 def factorize_complete(n: int, lam: int, r: Sequence[int]) -> DecompositionCertificate:
     """Split lambda-fold K_n into spanning regular factors of the given degrees."""
     r = tuple(r)
-    _ensure_feasible(_factorization_feasibility(n, lam, r, per_vertex=n))
+    _ensure_feasible(_factorization_feasibility(n, lam, r))
     claims = _complete_classes(n, r, [ROLE_R_FACTOR] * len(r), r)
     return _certified(DecompositionCertificate(complete_graph(n, lam), claims))
 
@@ -414,8 +414,7 @@ def _path_embedding_violations(
     if n < 1:
         return ["must add at least one vertex"]
     if k != (m + n - 1 + 1) // 2:
-        violations.append(f"need k={(m + n) // 2} classes, got {k}")
-        return violations
+        return [f"need k={(m + n) // 2} classes, got {k}"]
     matching_class = k if (m + n) % 2 == 0 else None
     deg = color_degrees(base, coloring.colors, k)
     class_ids = coloring.edge_ids_by_class()
@@ -482,7 +481,7 @@ def embed_complete_paths(
     """
     _require_simple_complete(base, base_coloring)
     violations = _path_embedding_violations(base, base_coloring, n)
-    _ensure_feasible(FeasibilityReport.violated(violations))
+    _ensure_feasible(FeasibilityReport(violations))
     r, roles = _hamiltonian_classes(base.vertex_count + n - 1)
     return _embed(base, base_coloring, n, r, roles, None)
 
@@ -559,7 +558,7 @@ def embed_factorization(
     _require_simple_complete(base, base_coloring)
     r = tuple(r)
     violations, sigma = _factor_embedding_sigma(base, base_coloring, n, r)
-    _ensure_feasible(FeasibilityReport.violated(violations))
+    _ensure_feasible(FeasibilityReport(violations))
     rs = [r[slot] for slot in sigma]
     return _embed(base, base_coloring, n, rs, [ROLE_R_FACTOR] * len(rs), rs)
 
@@ -620,8 +619,8 @@ def ham_decompose_multipartite(
 def factorize_multipartite(n: int, m: int, lam: int, r: Sequence[int]) -> DecompositionCertificate:
     """Regular factors of the lambda-fold complete multipartite graph."""
     r = tuple(r)
-    _ensure_feasible(_factorization_feasibility(
-        n * m, lam, r, per_vertex=n * m, degree=lam * n * (m - 1)
+    _ensure_feasible(check_feasibility(
+        DecompositionRequest("factorize-multipartite", n=n, m=m, lam=lam, r=r)
     ))
     claims = _multipartite_classes(n, m, r, [ROLE_R_FACTOR] * len(r), r)
     host = two_class_graph(n, m, 0, lam)
@@ -720,9 +719,8 @@ def _two_class_certificate(
 ) -> DecompositionCertificate:
     """Certified two-class decomposition; ``odd`` is the degree parity required."""
     report = _two_class_feasibility(n, m, lam, mu, None)
-    degree = lam * (n - 1) + mu * n * (m - 1) if n * m else 0
+    degree = _two_class_degree(n, m, lam, mu)
     if degree % 2 != odd:
-        report.feasible = False
         report.violations.append(f"(ii) degree {degree} is {'even' if odd else 'odd'}")
     _ensure_feasible(report)
     claims = _two_class_claims(n, m, lam, mu, degree)
@@ -742,7 +740,6 @@ def ham_plus_one_factor_two_class(n: int, m: int, lam: int, mu: int) -> Decompos
 
 def decompose_two_class(n: int, m: int, lam: int, mu: int) -> DecompositionCertificate:
     """Parity-dispatching front door for two-multiplicity hosts."""
-    degree = lam * (n - 1) + mu * n * (m - 1)
-    if degree % 2:
+    if _two_class_degree(n, m, lam, mu) % 2:
         return ham_plus_one_factor_two_class(n, m, lam, mu)
     return ham_decompose_two_class(n, m, lam, mu)

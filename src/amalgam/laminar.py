@@ -120,11 +120,3 @@ def select_subset(
         )
     return {x for x in range(s_size) if element_arcs[x] is not None and flow[element_arcs[x]] == 1}
 
-
-def quota_ok(selected: set[int], fam: LaminarFamily, n: int) -> bool:
-    """Check the floor/ceil quota of every member set against a selection."""
-    for s in fam.sets:
-        hit = len(selected & s)
-        if not (len(s) // n <= hit <= -(-len(s) // n)):
-            return False
-    return True

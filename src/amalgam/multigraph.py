@@ -8,7 +8,7 @@ the degree of their vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -27,6 +27,8 @@ class Multigraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise GraphUsageError(f"vertex count {self.vertex_count} is negative")
         for a, b in self.edges:
             if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
                 raise GraphUsageError(f"edge ({a},{b}) out of range")
@@ -35,45 +37,12 @@ class Multigraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.vertex_count):
-            raise GraphUsageError(f"vertex {v} out of range")
-
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        d = 0
-        for a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
-
-    def loop_count(self, v: int) -> int:
-        self.check_vertex(v)
-        return sum(1 for a, b in self.edges if a == v and b == v)
-
-    def multiplicity(self, u: int, v: int) -> int:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        pair = (u, v) if u <= v else (v, u)
-        return sum(1 for a, b in self.edges if (min(a, b), max(a, b)) == pair)
-
-    def components(self) -> int:
-        """Number of connected components, isolated vertices included."""
-        parent: dict[int, int] = {}
-        return self.vertex_count - sum(union(parent, a, b) for a, b in self.edges)
-
     def degrees(self) -> list[int]:
         d = [0] * self.vertex_count
         for a, b in self.edges:
             d[a] += 1
             d[b] += 1
         return d
-
-    def subgraph_of_edges(self, edge_ids: Iterable[int]) -> "Multigraph":
-        """Spanning subgraph keeping only the given edges (all vertices kept)."""
-        return Multigraph(self.vertex_count, tuple(self.edges[e] for e in edge_ids))
 
 
 @dataclass(frozen=True)
@@ -90,24 +59,12 @@ class EdgeColoring:
             if not (1 <= c <= self.k):
                 raise GraphUsageError(f"color {c} outside 1..{self.k}")
 
-    def class_edge_ids(self, j: int) -> list[int]:
-        if not (1 <= j <= self.k):
-            raise GraphUsageError(f"color {j} outside 1..{self.k}")
-        return [e for e, c in enumerate(self.colors) if c == j]
-
     def edge_ids_by_class(self) -> list[list[int]]:
         """Every class's edge ids in one pass: index j for color j, 0 empty."""
         ids: list[list[int]] = [[] for _ in range(self.k + 1)]
         for e, c in enumerate(self.colors):
             ids[c].append(e)
         return ids
-
-
-def color_class(g: Multigraph, coloring: EdgeColoring, j: int) -> Multigraph:
-    """Spanning subgraph induced by the edges colored j (may be empty)."""
-    if len(coloring.colors) != g.edge_count:
-        raise GraphUsageError("coloring does not match graph edge count")
-    return g.subgraph_of_edges(coloring.class_edge_ids(j))
 
 
 def color_degrees(g: Multigraph, colors: Sequence[int], k: int) -> list[list[int]]:
@@ -117,19 +74,6 @@ def color_degrees(g: Multigraph, colors: Sequence[int], k: int) -> list[list[int
         deg[a][colors[e]] += 1
         deg[b][colors[e]] += 1
     return deg
-
-
-def color_class_degree(g: Multigraph, coloring: EdgeColoring, j: int, v: int) -> int:
-    g.check_vertex(v)
-    d = 0
-    for e, (a, b) in enumerate(g.edges):
-        if coloring.colors[e] != j:
-            continue
-        if a == v:
-            d += 1
-        if b == v:
-            d += 1
-    return d
 
 
 @dataclass(frozen=True)

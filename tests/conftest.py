@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from amalgam import EdgeColoring, Multigraph
+from tests.oracles import loop_count, multiplicity
 
 
 def random_detachment_instance(
@@ -53,9 +54,9 @@ def random_detachment_instance(
     if not edges:
         return None
     h = Multigraph(nv, tuple(edges))
-    if any(h.loop_count(v) > 12 for v in range(nv)):
+    if any(loop_count(h, v) > 12 for v in range(nv)):
         return None
-    if any(h.multiplicity(u, v) > 9 for u in range(nv) for v in range(u + 1, nv)):
+    if any(multiplicity(h, u, v) > 9 for u in range(nv) for v in range(u + 1, nv)):
         return None
     return h, EdgeColoring(k, tuple(colors)), eta
 

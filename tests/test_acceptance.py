@@ -2,17 +2,13 @@
 against independent oracles, and the randomized property sweeps, each
 under an explicit wall-clock budget."""
 
-import itertools
 import random
 import time
 from collections import Counter
 
-import pytest
-
 from amalgam import (
     DecompositionRequest,
     EdgeColoring,
-    InfeasibleError,
     Multigraph,
     ROLE_FAIR_HAMILTONIAN,
     ROLE_HAMILTONIAN,
@@ -35,13 +31,12 @@ from amalgam import (
     evenly_equitable_coloring,
     walecki_direct,
 )
-from amalgam.laminar import quota_ok
 from tests.conftest import (
     random_bipartite,
     random_detachment_instance,
     random_even_graph,
 )
-from tests.test_laminar import _random_laminar
+from tests.oracles import _random_laminar, quota_ok
 
 
 class Budget:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from amalgam import (
     ClassClaim,
     DecompositionCertificate,
+    DecompositionRequest,
     EdgeColoring,
     GraphUsageError,
     InfeasibleError,
@@ -19,7 +20,9 @@ from amalgam import (
     certificate_from_json,
     certificate_to_json,
     certify,
+    check_feasibility,
     complete_graph,
+    decompose_two_class,
     embed_complete_paths,
     embed_factorization,
     factorize_complete,
@@ -32,8 +35,7 @@ from amalgam import (
     two_class_parts,
     walecki_direct,
 )
-from amalgam.certify import CertifyReport, ClassVerdict
-from amalgam.multigraph import union
+from tests.oracles import _reference_certify
 
 
 def _k7_cert():
@@ -189,6 +191,21 @@ def test_host_from_kind_parameters():
     assert certify(certificate_from_json(obj)).passed
 
 
+def test_negative_host_sizes_raise():
+    for host in (
+        {"vertices": -2, "edges": []},
+        {"kind": "complete", "n": 3, "lambda": -1},
+        {"kind": "complete", "n": -1},
+        {"kind": "two-class", "n": 2, "m": 2, "lambda": 1, "mu": -1},
+        {"kind": "multipartite", "n": 2, "m": -2},
+    ):
+        with pytest.raises(GraphUsageError, match="negative"):
+            certificate_from_json({"host": host, "classes": []})
+    # zero sizes stay valid hosts
+    empty = certificate_from_json({"host": {"kind": "complete", "n": 0}, "classes": []})
+    assert empty.host == Multigraph(0, ())
+
+
 def _k3_json(**changes):
     obj = {
         "host": {"kind": "complete", "n": 3, "lambda": 1},
@@ -253,86 +270,25 @@ def test_metamorphic_relabeling_preserves_verdict(seed, tamper):
     ]
 
 
-def _reference_certify(cert):
-    """Oracle: certify as it was before it keyed pairs by ints.
-
-    It compares ``Counter``s of (min, max) tuples and builds a union-find
-    for every class, whatever its role.
-    """
-    report = CertifyReport()
-    s = cert.host.vertex_count
-    for claim in cert.classes:
-        for a, b in claim.edges:
-            if not (0 <= a < s and 0 <= b < s):
-                report.structural_errors.append(f"unknown vertex in edge ({a},{b})")
-    part_of = None
-    if cert.parts is not None:
-        part_of = {}
-        for p, members in enumerate(cert.parts):
-            for v in members:
-                if not (0 <= v < s) or v in part_of:
-                    report.structural_errors.append("malformed part structure")
-                part_of[v] = p
-        if len(part_of) != s:
-            report.structural_errors.append("parts do not cover all vertices")
-    if report.structural_errors:
-        return report
-    host_multiset = Counter((min(a, b), max(a, b)) for a, b in cert.host.edges)
-    claimed_multiset: Counter = Counter()
-    for claim in cert.classes:
-        claimed_multiset.update((min(a, b), max(a, b)) for a, b in claim.edges)
-    report.partition_ok = host_multiset == claimed_multiset
-    for idx, claim in enumerate(cert.classes):
-        report.class_verdicts.append(_reference_class(idx, claim, s, part_of))
-    return report
+def _embed_bases():
+    """The colored complete graphs that the embedding builders grow."""
+    k4 = complete_graph(4, 1)
+    k4_paths = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3}
+    return [
+        (complete_graph(1, 1), EdgeColoring(1, ())),
+        (k4, EdgeColoring(3, tuple(k4_paths[e] for e in k4.edges))),
+        (complete_graph(3, 1), EdgeColoring(2, (1, 2, 1))),
+        (complete_graph(2, 1), EdgeColoring(2, (1,))),
+        (complete_graph(3, 1), EdgeColoring(2, (1, 1, 2))),
+    ]
 
 
-def _reference_class(idx, claim, s, part_of):
-    deg = [0] * s
-    parent = {}
-    merges = 0
-    for a, b in claim.edges:
-        deg[a] += 1
-        deg[b] += 1
-        merges += union(parent, a, b)
-    role = claim.role
-    if role in (ROLE_HAMILTONIAN, ROLE_FAIR_HAMILTONIAN):
-        if not all(d == 2 for d in deg):
-            return ClassVerdict(idx, role, False, "not 2-regular spanning")
-        if merges != s - 1:
-            return ClassVerdict(idx, role, False, "not connected")
-        if role == ROLE_FAIR_HAMILTONIAN:
-            if part_of is None:
-                return ClassVerdict(idx, role, False, "fairness claimed without parts")
-            counts: Counter = Counter()
-            for a, b in claim.edges:
-                pa, pb = part_of[a], part_of[b]
-                if pa != pb:
-                    counts[(min(pa, pb), max(pa, pb))] += 1
-            num_parts = max(part_of.values()) + 1
-            all_pairs = [
-                counts.get((p, q), 0) for p in range(num_parts) for q in range(p + 1, num_parts)
-            ]
-            if all_pairs and max(all_pairs) - min(all_pairs) > 1:
-                return ClassVerdict(idx, role, False, "part-pair counts not within 1")
-        return ClassVerdict(idx, role, True)
-    if role == ROLE_ONE_FACTOR:
-        if not all(d == 1 for d in deg):
-            return ClassVerdict(idx, role, False, "not a perfect matching")
-        return ClassVerdict(idx, role, True)
-    if role == ROLE_R_FACTOR:
-        if claim.r is None or claim.r < 0:
-            return ClassVerdict(idx, role, False, "missing factor degree")
-        if not all(d == claim.r for d in deg):
-            return ClassVerdict(idx, role, False, f"not {claim.r}-regular spanning")
-        return ClassVerdict(idx, role, True)
-    return ClassVerdict(idx, role, False, f"unknown role {role!r}")
+_EMBED_BASES = _embed_bases()
 
 
 def _builder_outputs():
     """Every builder over a small grid, lambda >= 2 hosts included."""
-    k4 = complete_graph(4, 1)
-    k4_paths = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3}
+    paths_1, paths_4, paths_3, factor_2, factor_3 = _EMBED_BASES
     calls = []
     for n in range(1, 8):
         for lam in range(1, 4):
@@ -343,11 +299,11 @@ def _builder_outputs():
         (factorize_complete, 4, 1, (1, 1, 1)),
         (factorize_complete, 4, 2, (2, 4)),
         (factorize_complete, 6, 2, (4, 3, 3)),
-        (embed_complete_paths, complete_graph(1, 1), EdgeColoring(1, ()), 2),
-        (embed_complete_paths, k4, EdgeColoring(3, tuple(k4_paths[e] for e in k4.edges)), 2),
-        (embed_complete_paths, complete_graph(3, 1), EdgeColoring(2, (1, 2, 1)), 1),
-        (embed_factorization, complete_graph(2, 1), EdgeColoring(2, (1,)), 3, (2, 2)),
-        (embed_factorization, complete_graph(3, 1), EdgeColoring(2, (1, 1, 2)), 2, (2, 2)),
+        (embed_complete_paths, *paths_1, 2),
+        (embed_complete_paths, *paths_4, 2),
+        (embed_complete_paths, *paths_3, 1),
+        (embed_factorization, *factor_2, 3, (2, 2)),
+        (embed_factorization, *factor_3, 2, (2, 2)),
         (factorize_multipartite, 2, 3, 1, (2, 2)),
         (factorize_multipartite, 2, 2, 2, (2, 2)),
     ]
@@ -459,3 +415,105 @@ def test_certify_matches_reference_on_builder_outputs_and_tampered_copies():
         "unknown role 'mystery'", "malformed part structure", "parts do not cover all vertices",
     } <= seen
     assert any(reason.startswith("unknown vertex") for reason in seen)
+
+
+# ---------------------------------------------------------------------------
+# Every builder against check_feasibility, over small bounded requests
+
+_TWO_CLASS_BUILDERS = (decompose_two_class, ham_decompose_two_class, ham_plus_one_factor_two_class)
+
+
+def _factor_degrees(degree):
+    """Degrees that sum to ``degree`` (a split at up to three cuts), or any short list."""
+    cuts = st.sets(st.integers(1, max(degree - 1, 1)), max_size=3).map(sorted)
+    return st.one_of(
+        cuts.map(lambda c: tuple(b - a for a, b in zip([0, *c], [*c, degree]))),
+        st.lists(st.integers(-1, 6), max_size=4).map(tuple),
+    )
+
+
+@st.composite
+def _builder_cases(draw):
+    """A builder, its arguments and the request it answers, from small ranges."""
+    size, mult = st.integers(-1, 4), st.integers(-1, 3)
+    builder = draw(st.sampled_from([
+        walecki_direct, ham_decompose_complete, ham_decompose_multipartite,
+        *_TWO_CLASS_BUILDERS, factorize_complete, factorize_multipartite,
+        embed_complete_paths, embed_factorization,
+    ]))
+    if builder in (walecki_direct, ham_decompose_complete):
+        n, lam = draw(st.integers(-1, 9)), draw(mult)
+        return builder, (n, lam), DecompositionRequest("complete", n=n, lam=lam)
+    if builder is ham_decompose_multipartite:
+        n, m, lam, fair = draw(size), draw(size), draw(mult), draw(st.booleans())
+        req = DecompositionRequest("multipartite", n=n, m=m, lam=lam, fair=fair)
+        return builder, (n, m, lam, fair), req
+    if builder in _TWO_CLASS_BUILDERS:
+        n, m, lam, mu = draw(size), draw(size), draw(mult), draw(mult)
+        return builder, (n, m, lam, mu), DecompositionRequest("two-class", n=n, m=m, lam=lam, mu=mu)
+    if builder is factorize_complete:
+        n, lam = draw(st.integers(-1, 7)), draw(mult)
+        r = draw(_factor_degrees(lam * (n - 1)))
+        return builder, (n, lam, r), DecompositionRequest("factorize-complete", n=n, lam=lam, r=r)
+    if builder is factorize_multipartite:
+        n, m, lam = draw(size), draw(size), draw(mult)
+        r = draw(_factor_degrees(lam * n * (m - 1)))
+        req = DecompositionRequest("factorize-multipartite", n=n, m=m, lam=lam, r=r)
+        return builder, (n, m, lam, r), req
+    base, coloring = draw(st.sampled_from(_EMBED_BASES))
+    extra = draw(size)
+    if builder is embed_complete_paths:
+        req = DecompositionRequest("embed-paths", base_graph=base, base_coloring=coloring, extra=extra)
+        return builder, (base, coloring, extra), req
+    r = draw(_factor_degrees(base.vertex_count + extra - 1))
+    req = DecompositionRequest(
+        "embed-factorization", base_graph=base, base_coloring=coloring, extra=extra, r=r
+    )
+    return builder, (base, coloring, extra, r), req
+
+
+def _parity_violations(builder, req):
+    """What the two parity-bound builders add to the parity-free two-class check."""
+    if builder not in (ham_decompose_two_class, ham_plus_one_factor_two_class):
+        return []
+    odd = builder is ham_plus_one_factor_two_class
+    n, m = req.n, req.m
+    degree = req.lam * (n - 1) + req.mu * n * (m - 1) if n * m else 0
+    if degree % 2 == odd:
+        return []
+    return [f"(ii) degree {degree} is {'even' if odd else 'odd'}"]
+
+
+def test_parity_builders_add_their_parity_violation():
+    # check_feasibility's two-class kind has no parity condition
+    assert check_feasibility(DecompositionRequest("two-class", n=2, m=3, lam=1, mu=2)).feasible
+    with pytest.raises(InfeasibleError) as info:
+        ham_decompose_two_class(2, 3, 1, 2)
+    assert info.value.report.violations == ["(ii) degree 9 is odd"]
+
+
+def test_degenerate_requests_match_check_feasibility():
+    # an empty host has degree 0, so the front door adds no parity violation
+    req = DecompositionRequest("two-class", n=0, m=2, lam=1, mu=1)
+    with pytest.raises(InfeasibleError) as info:
+        decompose_two_class(0, 2, 1, 1)
+    assert info.value.report.violations == check_feasibility(req).violations
+    # two negative sizes are no vertex count
+    req = DecompositionRequest("factorize-multipartite", n=-1, m=-1, lam=1, r=(2,))
+    assert check_feasibility(req).violations == ["n must be >= 1 and lambda >= 0"]
+    with pytest.raises(InfeasibleError):
+        factorize_multipartite(-1, -1, 1, (2,))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_builder_cases())
+def test_builders_match_check_feasibility(case):
+    builder, args, req = case
+    violations = check_feasibility(req).violations + _parity_violations(builder, req)
+    if violations:
+        with pytest.raises(InfeasibleError) as info:
+            builder(*args)
+        assert info.value.report.violations == violations
+        assert not info.value.report.feasible
+    else:
+        assert certify(builder(*args)).passed

@@ -251,3 +251,35 @@ def test_out_flag_writes_file(tmp_path, capsys):
                 "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["classes"]
+
+
+def test_negative_sizes_are_usage_errors(tmp_path, capsys):
+    f = tmp_path / "in.json"
+    for host in (
+        {"vertices": -2, "edges": []},
+        {"kind": "complete", "n": 3, "lambda": -1},
+        {"kind": "complete", "n": -3},
+        {"kind": "two-class", "n": -1, "m": -2, "lambda": 1, "mu": 1},
+        {"kind": "multipartite", "n": 2, "m": 2, "lambda": -1},
+    ):
+        f.write_text(json.dumps({"host": host, "classes": []}))
+        assert run(["verify", str(f)]) == 64, host
+        assert "is negative" in capsys.readouterr().err
+    f.write_text(json.dumps({"vertices": -1, "edges": []}))
+    assert run(["color", str(f), "--mode", "even", "-k", "1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is negative" in captured.err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    # the certificate path and the infeasible-report path
+    for argv in (
+        ["decompose", "complete", "--n", "7", "--lambda", "1"],
+        ["decompose", "two-class", "--n", "3", "--m", "2", "--lambda", "5", "--mu", "1"],
+    ):
+        assert run(argv + ["--out", str(target)]) == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: cannot write {target}: ")
+    assert not target.parent.exists()

@@ -12,7 +12,7 @@ from amalgam import (
     verify_bee,
     verify_evenly_equitable,
 )
-from amalgam.multigraph import color_class_degree
+from amalgam.multigraph import color_degrees
 from tests.conftest import random_bipartite, random_even_graph
 
 
@@ -25,10 +25,12 @@ def test_bee_k33_three_colors():
     g, left = _k33()
     coloring = bee_coloring(g, left, 3)
     assert verify_bee(g, left, coloring)
+    ids = coloring.edge_ids_by_class()
+    deg = color_degrees(g, coloring.colors, 3)
     for j in range(1, 4):
-        assert len(coloring.class_edge_ids(j)) == 3
+        assert len(ids[j]) == 3
         for v in range(6):
-            assert color_class_degree(g, coloring, j, v) == 1
+            assert deg[v][j] == 1
 
 
 def test_bee_k1_all_one_color():
@@ -58,7 +60,7 @@ def test_verify_bee_detects_broken_equity():
     coloring = bee_coloring(g, left, 3)
     colors = list(coloring.colors)
     # recoloring a single edge unbalances both its endpoints and the sizes
-    a = coloring.class_edge_ids(1)[0]
+    a = coloring.edge_ids_by_class()[1][0]
     colors[a] = 2
     assert not verify_bee(g, left, EdgeColoring(3, tuple(colors)))
 
@@ -73,7 +75,7 @@ def test_bee_random_suite():
         k = rng.randint(1, 6)
         coloring = bee_coloring(g, left, k)
         assert verify_bee(g, left, coloring)
-        assert sum(len(coloring.class_edge_ids(j)) for j in range(1, k + 1)) == g.edge_count
+        assert sum(len(ids) for ids in coloring.edge_ids_by_class()[1:]) == g.edge_count
         done += 1
 
 
@@ -81,8 +83,9 @@ def test_evenly_equitable_c4():
     g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     coloring = evenly_equitable_coloring(g, 2)
     assert verify_evenly_equitable(g, coloring)
+    deg = color_degrees(g, coloring.colors, 2)
     for v in range(4):
-        degs = [color_class_degree(g, coloring, j, v) for j in (1, 2)]
+        degs = [deg[v][j] for j in (1, 2)]
         assert sorted(degs) in ([0, 2], [2, 2])
 
 
@@ -91,9 +94,10 @@ def test_evenly_equitable_k5_two_factors():
     g = Multigraph(5, edges)
     coloring = evenly_equitable_coloring(g, 2)
     assert verify_evenly_equitable(g, coloring)
+    deg = color_degrees(g, coloring.colors, 2)
     for j in (1, 2):
         for v in range(5):
-            assert color_class_degree(g, coloring, j, v) == 2
+            assert deg[v][j] == 2
 
 
 def test_evenly_equitable_k1_trivial():

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from collections import Counter
 
@@ -10,7 +9,6 @@ from amalgam import (
     AmalgamationSpec,
     DetachmentContractError,
     DetachmentError,
-    DetachmentReport,
     DetachmentResult,
     EdgeColoring,
     Multigraph,
@@ -23,9 +21,15 @@ from amalgam import (
     verify_detachment,
     walecki_direct,
 )
-from amalgam.detachment import _LOOP, _SplitCounts, _Star, edge_component_count
-from amalgam.multigraph import color_degrees
+from amalgam.detachment import _SplitCounts, _Star, edge_component_count
 from tests.conftest import random_detachment_instance
+from tests.oracles import (
+    _pairwise_verify_detachment,
+    _rebuilt_row_keeps_components,
+    _rescanned_split_state,
+    approx,
+    components,
+)
 
 
 def test_three_loops_detach_to_triangle():
@@ -56,10 +60,11 @@ def test_21_loops_three_classes_gives_k7_hamiltonian():
     assert report.all_passed, report
     g = result.g
     assert g.vertex_count == 7
+    ids = result.coloring.edge_ids_by_class()
     for j in range(1, 4):
-        cls = g.subgraph_of_edges(result.coloring.class_edge_ids(j))
+        cls = Multigraph(7, tuple(g.edges[e] for e in ids[j]))
         assert cls.degrees() == [2] * 7
-        assert cls.components() == 1  # each class is a Hamiltonian cycle
+        assert components(cls) == 1  # each class is a Hamiltonian cycle
 
 
 def test_loop_at_unsplit_vertex_rejected():
@@ -70,7 +75,6 @@ def test_loop_at_unsplit_vertex_rejected():
 
 def test_loop_at_a_late_unsplit_vertex_is_named(monkeypatch):
     # loops come from the incidence pass; no per-vertex rescan of the edges
-    monkeypatch.setattr(Multigraph, "loop_count", None)
     h = Multigraph(4, ((0, 0), (0, 1), (1, 1), (2, 3), (3, 3)))
     coloring = EdgeColoring(1, (1,) * 5)
     with pytest.raises(DetachmentContractError, match=r"^eta\(3\)=1 but vertex 3 has loops$"):
@@ -175,130 +179,12 @@ def test_random_instances_pass_all_properties():
         done += 1
 
 
-def approx(x: int, y: float) -> bool:
-    """floor(y) <= x <= ceil(y): the oracle's float window."""
-    return math.floor(y) <= x <= math.ceil(y)
-
-
 def test_approx_floor_ceil():
     assert approx(3, 7 / 2)
     assert approx(4, 7 / 2)
     assert not approx(5, 7 / 2)
     assert approx(2, 2.0)
     assert not approx(1, 2.0)
-
-
-def _pairwise_verify_detachment(h, coloring, result):
-    """Oracle: the detachment properties checked pair by pair.
-
-    Visits every pair of siblings, and every pair of vertices in different
-    fibers, once per color; so it costs about (sum of eta)^2 k.
-    """
-    errors = []
-    g, spec = result.g, result.spec
-    eta, phi = spec.eta, spec.phi
-    if len(eta) != h.vertex_count:
-        errors.append("eta not total on V(H)")
-    if len(phi) != g.vertex_count:
-        errors.append("phi not total on V(G)")
-    if g.edge_count != h.edge_count:
-        errors.append("edge count changed")
-    if result.coloring.k != coloring.k or result.coloring.colors != coloring.colors:
-        errors.append("coloring was not carried over by edge identity")
-    if not errors:
-        for e, (a, b) in enumerate(g.edges):
-            ha, hb = h.edges[e]
-            if {phi[a], phi[b]} != {ha, hb}:
-                errors.append(f"edge {e} endpoints disagree with phi")
-                break
-    if any(a == b for a, b in g.edges):
-        errors.append("detached graph has loops")
-    if errors:
-        return DetachmentReport(False, errors, {})
-
-    k = coloring.k
-    siblings = [[w for w in range(g.vertex_count) if phi[w] == u] for u in range(h.vertex_count)]
-    deg_h = color_degrees(h, coloring.colors, k)
-    deg_g = color_degrees(g, result.coloring.colors, k)
-    dh = h.degrees()
-    dg = g.degrees()
-
-    props = {}
-    details = {}
-
-    props["A1"] = all(
-        approx(dg[w], dh[u] / eta[u]) for u in range(h.vertex_count) for w in siblings[u]
-    )
-    props["A2"] = all(
-        approx(deg_g[w][j], deg_h[u][j] / eta[u])
-        for u in range(h.vertex_count)
-        for w in siblings[u]
-        for j in range(1, k + 1)
-    )
-
-    mult_g = {}
-    mult_gj = {}
-    for e, (a, b) in enumerate(g.edges):
-        key = (min(a, b), max(a, b))
-        mult_g[key] = mult_g.get(key, 0) + 1
-        ckey = (min(a, b), max(a, b), result.coloring.colors[e])
-        mult_gj[ckey] = mult_gj.get(ckey, 0) + 1
-    loops_h = [h.loop_count(v) for v in range(h.vertex_count)]
-    loops_hj = [[0] * (k + 1) for _ in range(h.vertex_count)]
-    mult_h = {}
-    mult_hj = {}
-    for e, (a, b) in enumerate(h.edges):
-        c = coloring.colors[e]
-        if a == b:
-            loops_hj[a][c] += 1
-        else:
-            key = (min(a, b), max(a, b))
-            mult_h[key] = mult_h.get(key, 0) + 1
-            mult_hj[(key[0], key[1], c)] = mult_hj.get((key[0], key[1], c), 0) + 1
-
-    ok3 = ok4 = True
-    for u in range(h.vertex_count):
-        if eta[u] < 2:
-            continue
-        pairs = math.comb(eta[u], 2)
-        for x in range(len(siblings[u])):
-            for y in range(x + 1, len(siblings[u])):
-                key = (min(siblings[u][x], siblings[u][y]), max(siblings[u][x], siblings[u][y]))
-                if not approx(mult_g.get(key, 0), loops_h[u] / pairs):
-                    ok3 = False
-                for j in range(1, k + 1):
-                    if not approx(mult_gj.get((key[0], key[1], j), 0), loops_hj[u][j] / pairs):
-                        ok4 = False
-    props["A3"], props["A4"] = ok3, ok4
-
-    ok5 = ok6 = True
-    for u in range(h.vertex_count):
-        for v in range(u + 1, h.vertex_count):
-            denom = eta[u] * eta[v]
-            base = mult_h.get((u, v), 0)
-            for wu in siblings[u]:
-                for wv in siblings[v]:
-                    key = (min(wu, wv), max(wu, wv))
-                    if not approx(mult_g.get(key, 0), base / denom):
-                        ok5 = False
-                    for j in range(1, k + 1):
-                        if not approx(
-                            mult_gj.get((key[0], key[1], j), 0),
-                            mult_hj.get((u, v, j), 0) / denom,
-                        ):
-                            ok6 = False
-    props["A5"], props["A6"] = ok5, ok6
-
-    ok7 = True
-    for j in qualifying_colors(h, coloring, tuple(eta)):
-        ch = edge_component_count(h.edges[e] for e in coloring.class_edge_ids(j))
-        cg = edge_component_count(g.edges[e] for e in result.coloring.class_edge_ids(j))
-        if cg != ch:
-            ok7 = False
-            details["A7"] = f"color {j}: {cg} != {ch}"
-    props["A7"] = ok7
-
-    return DetachmentReport(True, [], props, details)
 
 
 def _moved_endpoints(result, rng, moves, anywhere=0.2):
@@ -373,83 +259,6 @@ def test_counting_verifier_matches_pairwise_oracle_on_large_fibers():
         assert not failed
         _assert_same_report(h, coloring, _moved_endpoints(result, rng, 1, anywhere=0), failed)
         assert failed
-
-
-def _rebuilt_row_keeps_components(endpoints, colors, u, w, cell_sizes, j, row):
-    """Oracle: build color j's edge lists before and after the move explicitly."""
-    before: list[tuple[int, int]] = []
-    after: list[tuple[int, int]] = []
-    for eid, (a, b) in enumerate(endpoints):
-        if colors[eid] != j:
-            continue
-        before.append((a, b))
-        if u not in (a, b):
-            after.append((a, b))
-    for z, take in row.items():
-        size = cell_sizes[(j, z)]
-        if z == _LOOP:
-            # each moved loop endpoint turns one loop into a u--w edge
-            after.extend([(u, w)] * (take > 0))
-            after.extend([(u, u)] * (size // 2 - take > 0))
-            continue
-        if take:
-            after.append((w, z))
-        if size - take:
-            after.append((u, z))
-    return edge_component_count(after) == edge_component_count(before)
-
-
-def _dense_roots(vertex_count, edges):
-    """Root lookup of a dense union-find over the edges, kept apart from amalgam's kernel."""
-    parent = list(range(vertex_count))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for a, b in edges:
-        parent[root(a)] = root(b)
-    return root
-
-
-def _rescanned_split_state(endpoints, colors, u, quals):
-    """Oracle: u's cells and each qualifying color's groups, from scratch.
-
-    Scans every edge for u's slots and for each qualifying color's edges
-    away from u, then merges those in a dense union-find, with no state
-    kept from earlier splits.
-    """
-    qual_set = set(quals)
-    cell_slots = {}
-    away = {j: [] for j in quals}
-    for eid, (a, b) in enumerate(endpoints):
-        c = colors[eid]
-        if a == u:
-            other = _LOOP if b == u else b
-            cell_slots.setdefault((c, other), []).append((eid, 0))
-            if b == u:
-                cell_slots[(c, other)].append((eid, 1))
-        elif b == u:
-            cell_slots.setdefault((c, a), []).append((eid, 1))
-        elif c in qual_set:
-            away[c].append((a, b))
-    cells_of = {}
-    for c, z in sorted(cell_slots):
-        cells_of.setdefault(c, []).append(z)
-    vertex_count = 1 + max(max(pair) for pair in endpoints)
-    groups = {}
-    for j in quals:
-        if j not in cells_of:
-            continue
-        root = _dense_roots(vertex_count, away[j])
-        group_of_root = {}
-        groups[j] = {
-            z: group_of_root.setdefault(root(z), len(group_of_root))
-            for z in cells_of[j]
-            if z != _LOOP
-        }
-    return cell_slots, groups
 
 
 def _on_every_split(monkeypatch, check):

@@ -1,10 +1,10 @@
 import itertools
 import random
-from collections import deque
 
 import pytest
 
 from amalgam.flows import Dinic, feasible_circulation
+from tests.oracles import _RecursiveDinic, _recursive_circulation
 
 
 def test_max_flow_simple_path():
@@ -70,85 +70,7 @@ def test_circulation_random_instances_conserve():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the recursive kernel that routed every arc, and brute force
-
-
-class _RecursiveDinic:
-    """Dinic with a recursive path search and every arc in the network."""
-
-    def __init__(self, n):
-        self.n = n
-        self.head = [[] for _ in range(n)]
-        self.to = []
-        self.cap = []
-
-    def add_arc(self, u, v, cap):
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s, t):
-        total = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return total
-            it = [0] * self.n
-
-            def dfs(u, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                total += pushed
-
-
-def _recursive_circulation(num_nodes, arcs):
-    excess = [0] * num_nodes
-    for u, v, lo, hi in arcs:
-        excess[v] += lo
-        excess[u] -= lo
-    s, t = num_nodes, num_nodes + 1
-    net = _RecursiveDinic(num_nodes + 2)
-    arc_ids = [net.add_arc(u, v, hi - lo) for u, v, lo, hi in arcs]
-    need = 0
-    for v in range(num_nodes):
-        if excess[v] > 0:
-            net.add_arc(s, v, excess[v])
-            need += excess[v]
-        elif excess[v] < 0:
-            net.add_arc(v, t, -excess[v])
-    if net.max_flow(s, t) != need:
-        return None
-    return [lo + (hi - lo) - net.cap[a] for a, (_, _, lo, hi) in zip(arc_ids, arcs)]
+# Oracles: the recursive kernel (tests/oracles.py) and brute force
 
 
 def _is_circulation(num_nodes, arcs, flow):

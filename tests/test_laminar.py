@@ -1,10 +1,10 @@
-import itertools
 import random
 
 import pytest
 
 from amalgam import LaminarContractError, LaminarFamily, select_subset, verify_laminar
-from amalgam.laminar import _forest, quota_ok
+from amalgam.laminar import _forest
+from tests.oracles import _pairwise_laminar, _random_laminar, quota_ok
 
 
 def fam(ground, *sets):
@@ -50,41 +50,6 @@ def test_non_laminar_rejected():
         select_subset(3, bad, bad, 2)
     with pytest.raises(LaminarContractError):
         select_subset(4, fam(3, {0}), fam(4, {0}), 2)
-
-
-def _random_laminar(rng: random.Random, size: int) -> LaminarFamily:
-    """Random laminar family built by recursive partitioning."""
-    sets = []
-
-    def split(elems):
-        if len(elems) <= 1 or rng.random() < 0.3:
-            return
-        cut = rng.randint(1, len(elems) - 1)
-        rng.shuffle(elems)
-        left, right = elems[:cut], elems[cut:]
-        for part in (left, right):
-            if rng.random() < 0.8:
-                sets.append(set(part))
-            split(part)
-
-    ground = list(range(size))
-    if rng.random() < 0.7:
-        sets.append(set(ground))
-    split(ground)
-    return LaminarFamily.of(size, sets)
-
-
-def _pairwise_laminar(fam: LaminarFamily) -> bool:
-    """Oracle: every element in the ground set, every pair nested or disjoint."""
-    if any(not (0 <= x < fam.ground_size) for s in fam.sets for x in s):
-        return False
-    sets = fam.sets
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            a, b = sets[i], sets[j]
-            if not (a <= b or b <= a or not (a & b)):
-                return False
-    return True
 
 
 def _random_family(rng: random.Random, size: int) -> LaminarFamily:
