@@ -292,23 +292,15 @@ def _cmd_sweep(args) -> int:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         try:
             return args.func(args)
         except InfeasibleError as exc:
             # written where the result would have gone; a failed write is a usage error below
             _dump(exc.report.to_json(), getattr(args, "out", None))
             return EXIT_INFEASIBLE
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphUsageError, ColoringContractError, DetachmentContractError) as exc:
+    except (_UsageError, GraphUsageError, ColoringContractError, DetachmentContractError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DetachmentError as exc:

@@ -126,26 +126,22 @@ def _even_class_split(
     """
     if not edges:
         return set()
-    circuits = euler_circuits(vertex_count, edges)
+    eids: list[int] = []
     arcs: list[tuple[int, int, int, int]] = []
-    arc_edge: list[int] = []
     indeg: Counter[int] = Counter()
-    for trail in circuits:
+    # node split: v_in = 2v, v_out = 2v+1; edge arcs first, so arc i carries eids[i]
+    for trail in euler_circuits(vertex_count, edges):
         for eid, u, v in trail:
-            indeg[v] += 1
-    # node split: v_in = 2v, v_out = 2v+1
-    for trail in circuits:
-        for eid, u, v in trail:
-            arc_edge.append(len(arcs))
+            eids.append(eid)
             arcs.append((2 * u + 1, 2 * v, 0, 1))
-    eids = [eid for trail in circuits for eid, _, _ in trail]
+            indeg[v] += 1
     for v, d in sorted(indeg.items()):
         half = d  # in-degree equals degree/2
         arcs.append((2 * v, 2 * v + 1, half // divisor, -(-half // divisor)))
     flow = feasible_circulation(2 * vertex_count, arcs)
     if flow is None:
         raise RuntimeError("even class split has no circulation; this indicates a bug")
-    return {eids[i] for i in range(len(eids)) if flow[arc_edge[i]] == 1}
+    return {eid for eid, f in zip(eids, flow) if f == 1}
 
 
 def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:

@@ -14,7 +14,7 @@ away from u) meets u in an even number of slots, at least two. The
 circulation holds each group's count in its own floor/ceil window too,
 so every group keeps a slot at u and the fresh vertex gets one: every
 feasible circulation keeps the components, and one circulation per
-split is the whole construction (``_SplitCounts`` gives the argument).
+split is the whole construction (``_split_counts`` gives the argument).
 Nothing is searched or retried.
 
 Each fused vertex keeps its star across its splits (``_Star``): its
@@ -223,16 +223,6 @@ class _Star:
                     union(parent, a, b)
             self.groups[j] = parent
 
-    def group_of(self, j: int, neighbors) -> dict[int, int]:
-        """Map each neighbor of u to a small id of its group (its component without u)."""
-        parent = self.groups[j]
-        group_of_root: dict[int, int] = {}
-        return {
-            z: group_of_root.setdefault(find(parent, z), len(group_of_root))
-            for z in neighbors
-            if z != _LOOP
-        }
-
     def split(self, delta: int, new_vertex: int) -> None:
         """Move a quota share of u's endpoint slots onto ``new_vertex``."""
         if not self.cell_slots:
@@ -240,7 +230,7 @@ class _Star:
         endpoints = self.endpoints
         # a cell's slots are parallel edges of one color, so which of them move
         # only permutes edge ids and never changes a later split
-        for cell, take in _SplitCounts(self, delta).solve().items():
+        for cell, take in _split_counts(self, delta).items():
             if not take:
                 continue
             c, z = cell
@@ -266,7 +256,7 @@ class _Star:
                 del self.cell_slots[cell]
 
 
-class _SplitCounts:
+def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:
     """The per-cell move counts of one split, from one circulation.
 
     Windows: each cell, each color (row sum), each neighbor (column sum)
@@ -289,113 +279,92 @@ class _SplitCounts:
     component and every component of j survives. ``keeps_components``
     re-checks this on the circulation as a guard.
 
-    Everything here is read off u's ``_Star``: the cells, and each
-    qualifying color's groups. So one split costs O(deg u) plus its
-    circulation. The guard counts the components of a quotient graph whose
-    vertices are the groups, u and the fresh vertex w, with one or two
-    edges per cell of the row.
+    One walk over u's sorted cells collects the row and column sums and
+    each qualifying row's cells and group ids, read off the star's
+    union-finds. So a split costs O(deg u) plus its circulation. Nodes:
+    source 0, sink 1, the rows, the columns, then the groups; arcs: rows,
+    groups, cells, columns, total. Raises ``DetachmentError`` naming the
+    split: with no color if the windows admit no circulation, or with the
+    first qualifying color whose row breaks a component. The argument
+    above rules out both.
     """
-
-    def __init__(self, star: _Star, delta: int):
-        self.u = star.u
-        self.delta = delta
-        self.cell_sizes = {cell: len(star.cell_slots[cell]) for cell in sorted(star.cell_slots)}
-        self.color_ids = sorted({c for c, _ in self.cell_sizes})
-        self.neighbor_ids = sorted({z for _, z in self.cell_sizes})
-        self.color_sizes = {c: 0 for c in self.color_ids}
-        self.neighbor_sizes = {z: 0 for z in self.neighbor_ids}
-        self.cells_of: dict[int, list[int]] = {c: [] for c in self.color_ids}
-        for (c, z), size in self.cell_sizes.items():
-            self.color_sizes[c] += size
-            self.neighbor_sizes[z] += size
-            self.cells_of[c].append(z)
-        self.total = sum(self.cell_sizes.values())
-        self.quals = [j for j in star.groups if j in self.color_sizes]
-        self._components = {j: star.group_of(j, self.cells_of[j]) for j in self.quals}
-
-    def keeps_components(self, j: int, row: dict[int, int]) -> bool:
-        """Would moving ``row`` of color j's slots keep its component count?
-
-        Components away from u stay as they are and u joins all its groups,
-        so the count is kept iff the quotient graph on the groups, u and the
-        fresh vertex w is connected once the row has moved.
-        """
-        group_of = self._components[j]
-        u, w = -1, -2  # group ids are >= 0
-        edges = []
-        for z, take in row.items():
-            if z == _LOOP:
-                # every loop keeps an endpoint at u; one with an endpoint moved joins u and w
-                edges.append((u, w) if take else (u, u))
-                continue
-            if take:
-                edges.append((w, group_of[z]))
-            if take < self.cell_sizes[(j, z)]:
-                edges.append((u, group_of[z]))
-        return edge_component_count(edges) == 1
-
-    def _window(self, size: int) -> tuple[int, int]:
-        return size // self.delta, -(-size // self.delta)
-
-    def _groups(self, j: int) -> list[list[int]]:
-        """Color j's groups of two or more cells, as lists of neighbors."""
-        group_of = self._components[j]
-        groups: dict[int, list[int]] = {}
-        for z in self.cells_of[j]:
+    cell_slots, groups = star.cell_slots, star.groups
+    cells = sorted(cell_slots)
+    sizes = [len(cell_slots[cell]) for cell in cells]
+    rows: dict[int, int] = {}  # color -> slots at u
+    cols: dict[int, int] = {}  # neighbor -> slots at u
+    tails: list[int] = []  # each cell's row node, or its group's node below
+    # qualifying color -> its cells as (neighbor, index), neighbor -> group id, cells per group
+    quals: dict[int, tuple[list[tuple[int, int]], dict[int, int], list[list[int]]]] = {}
+    for i, ((c, z), size) in enumerate(zip(cells, sizes)):
+        if c not in rows:  # the cells come color by color
+            rows[c] = 0
+            roots: dict[int, int] = {}  # c's group roots -> group ids
+            if c in groups:
+                quals[c] = ([], {}, [])
+        rows[c] += size
+        cols[z] = cols.get(z, 0) + size
+        tails.append(1 + len(rows))
+        if c in quals:
+            row, group_of, members = quals[c]
+            row.append((z, i))
             if z != _LOOP:
-                groups.setdefault(group_of[z], []).append(z)
-        return [cells for cells in groups.values() if len(cells) > 1]
+                group = group_of[z] = roots.setdefault(find(groups[c], z), len(roots))
+                if group == len(members):
+                    members.append([])
+                members[group].append(i)
 
-    def _circulation(self):
-        """Counts for every cell inside every window, or None."""
-        src, snk = 0, 1
-        color_node = {c: 2 + i for i, c in enumerate(self.color_ids)}
-        nbr_node = {
-            z: 2 + len(self.color_ids) + i for i, z in enumerate(self.neighbor_ids)
-        }
-        node_count = 2 + len(self.color_ids) + len(self.neighbor_ids)
-        arcs: list[tuple[int, int, int, int]] = []
-        cell_arc: dict[tuple[int, int], int] = {}
-        for c in self.color_ids:
-            lo, hi = self._window(self.color_sizes[c])
-            arcs.append((src, color_node[c], lo, hi))
-        # a group's cells leave from one node under its color's row
-        cell_tail = {}
-        for j in self.quals:
-            for cells in self._groups(j):
-                size = sum(self.cell_sizes[(j, z)] for z in cells)
-                arcs.append((color_node[j], node_count, *self._window(size)))
-                for z in cells:
-                    cell_tail[(j, z)] = node_count
-                node_count += 1
-        for cell in self.cell_sizes:
-            c, z = cell
-            cell_arc[cell] = len(arcs)
-            tail = cell_tail.get(cell, color_node[c])
-            arcs.append((tail, nbr_node[z], *self._window(self.cell_sizes[cell])))
-        for z in self.neighbor_ids:
-            lo, hi = self._window(self.neighbor_sizes[z])
-            arcs.append((nbr_node[z], snk, lo, hi))
-        arcs.append((snk, src, *self._window(self.total)))
-        flow = feasible_circulation(node_count, arcs)
-        if flow is None:
-            return None
-        return {cell: flow[idx] for cell, idx in cell_arc.items()}
+    col_node = {z: n for n, z in enumerate(sorted(cols), 2 + len(rows))}
+    node = 2 + len(rows) + len(cols)
+    arcs = [(0, n, s // delta, -(-s // delta)) for n, s in enumerate(rows.values(), 2)]
+    # a group's cells leave from one node under its color's row
+    for _, _, members in quals.values():
+        for group in members:
+            if len(group) > 1:
+                s = sum(sizes[i] for i in group)
+                arcs.append((tails[group[0]], node, s // delta, -(-s // delta)))
+                for i in group:
+                    tails[i] = node
+                node += 1
+    first = len(arcs)
+    arcs += [
+        (tail, col_node[z], s // delta, -(-s // delta))
+        for tail, (_, z), s in zip(tails, cells, sizes)
+    ]
+    arcs += [(n, 1, cols[z] // delta, -(-cols[z] // delta)) for z, n in col_node.items()]
+    total = sum(sizes)
+    arcs.append((1, 0, total // delta, -(-total // delta)))
+    flow = feasible_circulation(node, arcs)
+    if flow is None:
+        raise DetachmentError(["construction"], vertex=star.u, delta=delta)
+    takes = flow[first : first + len(cells)]
+    for j, (row, group_of, _) in quals.items():
+        if not keeps_components(group_of, [(z, takes[i], sizes[i]) for z, i in row]):
+            raise DetachmentError(["construction"], vertex=star.u, delta=delta, color=j)
+    return dict(zip(cells, takes))
 
-    def solve(self) -> dict[tuple[int, int], int]:
-        """Counts for every cell: one circulation, then the component guard.
 
-        Raises ``DetachmentError`` naming the split: with no color if the
-        windows admit no circulation, or with the first qualifying color
-        whose row breaks a component. The argument above rules out both.
-        """
-        flow = self._circulation()
-        if flow is None:
-            raise DetachmentError(["construction"], vertex=self.u, delta=self.delta)
-        for j in self.quals:
-            if not self.keeps_components(j, {z: flow[(j, z)] for z in self.cells_of[j]}):
-                raise DetachmentError(["construction"], vertex=self.u, delta=self.delta, color=j)
-        return flow
+def keeps_components(group_of: dict[int, int], row) -> bool:
+    """Would moving ``row`` of a qualifying color's slots keep its component count?
+
+    ``row`` holds (neighbor, slots moved, slots) per cell of the color at
+    u, and ``group_of`` maps each neighbor to its group. Components away
+    from u stay as they are and u joins all its groups, so the count is
+    kept iff the quotient graph on the groups, u and the fresh vertex w,
+    with one or two edges per cell, is connected once the row has moved.
+    """
+    u, w = -1, -2  # group ids are >= 0
+    edges = []
+    for z, take, size in row:
+        if z == _LOOP:
+            # every loop keeps an endpoint at u; one with an endpoint moved joins u and w
+            edges.append((u, w) if take else (u, u))
+            continue
+        if take:
+            edges.append((w, group_of[z]))
+        if take < size:
+            edges.append((u, group_of[z]))
+    return edge_component_count(edges) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +436,8 @@ def verify_detachment(
 
     by_color = coloring.edge_ids_by_class()
     for j in _qualifying(deg_h, eta, k):
-        ch = edge_component_count([h.edges[e] for e in by_color[j]])
+        # parallel edges never change a component count
+        ch = edge_component_count({h.edges[e] for e in by_color[j]})
         cg = edge_component_count([g.edges[e] for e in by_color[j]])
         if cg != ch:
             props["A7"] = False

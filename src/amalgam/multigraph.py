@@ -184,21 +184,25 @@ def coloring_from_json(obj: Mapping) -> EdgeColoring:
 
 def complete_graph(n: int, lam: int = 1) -> Multigraph:
     """lambda K_n with edges in lexicographic order, repeated lambda times."""
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            edges.extend([(u, v)] * lam)
-    return Multigraph(n, tuple(edges))
+    return two_class_graph(n, 1, lam, 0)
 
 
 def two_class_graph(n: int, m: int, lam: int, mu: int) -> Multigraph:
-    """K(n^(m); lambda, mu): m parts of size n; part p holds vertices p*n..p*n+n-1."""
+    """K(n^(m); lambda, mu): m parts of size n; part p holds vertices p*n..p*n+n-1.
+
+    Edges in lexicographic order, each pair repeated by its multiplicity;
+    a block of multiplicity 0 is never visited.
+    """
     s = n * m
     edges = []
     for u in range(s):
-        for v in range(u + 1, s):
-            mult = lam if u // n == v // n else mu
-            edges.extend([(u, v)] * mult)
+        end = (u // n + 1) * n  # past the last vertex of u's part
+        if lam:
+            for v in range(u + 1, end):
+                edges.extend([(u, v)] * lam)
+        if mu:
+            for v in range(end, s):
+                edges.extend([(u, v)] * mu)
     return Multigraph(s, tuple(edges))
 
 

@@ -2,7 +2,7 @@
 
 Each oracle recomputes what a library kernel computes, the slow or the
 older way, and shares no state with it: per-vertex counts by a scan of
-every edge, a pairwise detachment verifier with float windows, the
+every edge, host graphs built pair by pair, a pairwise detachment verifier with float windows, the
 tuple-keyed certificate checker, split state rescanned from scratch, the
 recursive Dinic that routed every arc, and a pairwise laminarity check
 with the random laminar families it is run on. The library keeps one
@@ -58,6 +58,16 @@ def color_class_degree(g, coloring, j, v):
         if b == v:
             d += 1
     return d
+
+
+def _all_pairs_two_class_edges(n, m, lam, mu):
+    """K(n^(m); lambda, mu)'s edges by a visit to every vertex pair, zero multiplicity too."""
+    s = n * m
+    edges = []
+    for u in range(s):
+        for v in range(u + 1, s):
+            edges.extend([(u, v)] * (lam if u // n == v // n else mu))
+    return tuple(edges)
 
 
 def _dense_roots(vertex_count, edges):

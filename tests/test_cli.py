@@ -198,7 +198,7 @@ def test_detach_failure_names_its_location(tmp_path, capsys, monkeypatch):
     eta = tmp_path / "eta.json"
     eta.write_text("[3]")
     # the per-split guard rejects a row, then the windows admit no circulation
-    monkeypatch.setattr(detachment._SplitCounts, "keeps_components", lambda *args: False)
+    monkeypatch.setattr(detachment, "keeps_components", lambda *args: False)
     assert run(["detach", str(inp), "--eta", str(eta)]) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err

@@ -21,7 +21,7 @@ from amalgam import (
     verify_detachment,
     walecki_direct,
 )
-from amalgam.detachment import _SplitCounts, _Star, edge_component_count
+from amalgam.detachment import _Star, edge_component_count, keeps_components
 from tests.conftest import random_detachment_instance
 from tests.oracles import (
     _pairwise_verify_detachment,
@@ -262,8 +262,13 @@ def test_counting_verifier_matches_pairwise_oracle_on_large_fibers():
 
 
 def _on_every_split(monkeypatch, check):
-    """Call check(counts, star, colors, quals) at every split, inside the real detach."""
-    real_init, real_quals = _SplitCounts.__init__, detachment.qualifying_colors
+    """Call check(star, delta, counts, guarded, colors, quals) at every split, inside the real detach.
+
+    ``counts`` is the split's move count per cell and ``guarded`` lists the
+    (group_of, row) arguments that the component guard was given.
+    """
+    real_counts, real_guard = detachment._split_counts, detachment.keeps_components
+    real_quals = detachment.qualifying_colors
     call = {}
 
     def qualifying(h, coloring, eta):
@@ -271,24 +276,37 @@ def _on_every_split(monkeypatch, check):
         call["colors"], call["quals"] = coloring.colors, real_quals(h, coloring, eta)
         return list(call["quals"])
 
-    def init(self, star, delta):
-        real_init(self, star, delta)
-        check(self, star, call["colors"], call["quals"])
+    def guard(group_of, row):
+        call["guarded"].append((group_of, row))
+        return real_guard(group_of, row)
+
+    def split_counts(star, delta):
+        call["guarded"] = []
+        counts = real_counts(star, delta)
+        check(star, delta, counts, call["guarded"], call["colors"], call["quals"])
+        return counts
 
     monkeypatch.setattr(detachment, "qualifying_colors", qualifying)
-    monkeypatch.setattr(_SplitCounts, "__init__", init)
+    monkeypatch.setattr(detachment, "keeps_components", guard)
+    monkeypatch.setattr(detachment, "_split_counts", split_counts)
 
 
 def test_split_state_matches_rescan_oracle(monkeypatch):
     splits = []
 
-    def check(counts, star, colors, quals):
+    def check(star, delta, counts, guarded, colors, quals):
         cells, groups = _rescanned_split_state(star.endpoints, colors, star.u, quals)
-        # the same cells with their slots in the same order, read in sorted order
+        # the same cells with their slots in the same order, counted in sorted order
         assert sorted(star.cell_slots.items()) == sorted(cells.items())
-        assert list(counts.cell_sizes) == sorted(cells)
-        assert counts.quals == list(groups)
-        assert counts._components == groups
+        assert list(counts) == sorted(cells)
+        # the guard saw each qualifying color at u once, in order, with its groups and its row
+        assert guarded == [
+            (
+                groups[j],
+                [(z, counts[(c, z)], len(cells[(c, z)])) for c, z in sorted(cells) if c == j],
+            )
+            for j in groups
+        ]
         splits.append(star.u)
 
     _on_every_split(monkeypatch, check)
@@ -309,17 +327,22 @@ def test_split_state_matches_rescan_oracle(monkeypatch):
 def test_component_test_matches_rebuilt_edge_lists(monkeypatch):
     rows_checked = []
 
-    def check(counts, star, colors, quals):
+    def check(star, delta, counts, guarded, colors, quals):
         endpoints = star.endpoints
         w = 1 + max(max(pair) for pair in endpoints)  # a fresh vertex
-        for j in counts.quals:
-            cells = counts.cells_of[j]
-            windows = [counts._window(counts.cell_sizes[(j, z)]) for z in cells]
-            for values in itertools.product(*(range(lo, hi + 1) for lo, hi in windows)):
-                row = dict(zip(cells, values))
-                assert counts.keeps_components(j, row) == _rebuilt_row_keeps_components(
-                    endpoints, colors, star.u, w, counts.cell_sizes, j, row,
-                ), (endpoints, colors, star.u, counts.delta, j, row)
+        cells, groups = _rescanned_split_state(endpoints, colors, star.u, quals)
+        cell_sizes = {cell: len(slots) for cell, slots in cells.items()}
+        for j, group_of in groups.items():
+            row_cells = [z for c, z in sorted(cells) if c == j]
+            sizes = [cell_sizes[(j, z)] for z in row_cells]
+            windows = [range(size // delta, -(-size // delta) + 1) for size in sizes]
+            for values in itertools.product(*windows):
+                row = dict(zip(row_cells, values))
+                assert keeps_components(
+                    group_of, list(zip(row_cells, values, sizes))
+                ) == _rebuilt_row_keeps_components(
+                    endpoints, colors, star.u, w, cell_sizes, j, row,
+                ), (endpoints, colors, star.u, delta, j, row)
                 rows_checked.append(1)
 
     _on_every_split(monkeypatch, check)
@@ -377,7 +400,7 @@ def test_failed_search_names_vertex_split_and_color(monkeypatch):
     h = Multigraph(1, ((0, 0),) * 3)
     coloring = EdgeColoring(1, (1, 1, 1))
     # the per-split guard rejects a qualifying color's row
-    monkeypatch.setattr(_SplitCounts, "keeps_components", lambda self, j, row: False)
+    monkeypatch.setattr(detachment, "keeps_components", lambda group_of, row: False)
     with pytest.raises(DetachmentError) as info:
         detach(h, coloring, [3])
     err = info.value

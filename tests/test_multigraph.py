@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from amalgam import (
     two_class_parts,
 )
 from amalgam.multigraph import color_degrees, pair_keys, union
-from tests.oracles import color_class_degree
+from tests.oracles import _all_pairs_two_class_edges, color_class_degree
 
 
 def test_loop_contributes_two_to_degree():
@@ -97,6 +98,13 @@ def test_two_class_graph_degrees():
     g = two_class_graph(2, 3, 2, 1)
     assert all(d == 2 * 1 + 1 * 2 * 2 for d in g.degrees())
     assert two_class_parts(2, 3) == [[0, 1], [2, 3], [4, 5]]
+
+
+def test_hosts_match_all_pairs_oracle():
+    # edge order too: certificates list host edges by id
+    for n, m, lam, mu in itertools.product(range(5), range(5), range(3), range(3)):
+        assert two_class_graph(n, m, lam, mu).edges == _all_pairs_two_class_edges(n, m, lam, mu)
+        assert complete_graph(n, lam).edges == _all_pairs_two_class_edges(n, 1, lam, 0)
 
 
 def test_edge_ids_by_class_lists_every_class():
