@@ -99,7 +99,7 @@ def certify(cert: DecompositionCertificate) -> CertifyReport:
                 if not (0 <= v < s) or v in part_of:
                     report.structural_errors.append("malformed part structure")
                 part_of[v] = p
-        if part_of is not None and len(part_of) != s:
+        if len(part_of) != s:
             report.structural_errors.append("parts do not cover all vertices")
     if report.structural_errors:
         return report

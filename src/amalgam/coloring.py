@@ -1,11 +1,13 @@
-"""The two coloring engines behind every construction.
+"""The two coloring engines.
 
 * ``bee_coloring``: balanced, equitable and equalized k-coloring of a
   bipartite multigraph, by recursive quota selection over two laminar
-  families (per-pair edge sets, per-side vertex stars, all edges).
+  families (per-pair edge sets, per-side vertex stars, all edges). It
+  serves ``amalgam color --mode bee``; no construction uses it.
 * ``evenly_equitable_coloring``: per-vertex-even k-coloring of an even
   multigraph (loops allowed) with per-vertex color degrees pairwise
-  differing by 0 or 2. Classes k, k-1, ..., 2 are extracted one at a
+  differing by 0 or 2; the two-class construction colors its fused
+  graph with it. Classes k, k-1, ..., 2 are extracted one at a
   time, each as a bounded circulation on an Eulerian orientation of the
   edges not yet colored; class 1 takes what is left. With c classes to
   go and half-degree h at a vertex, the class taken gets half-degree x
@@ -91,19 +93,16 @@ def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
     k = coloring.k
     sizes = [0] * (k + 1)
     per_pair: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * (k + 1))
-    per_vertex: dict[int, list[int]] = defaultdict(lambda: [0] * (k + 1))
     for e, (a, b) in enumerate(g.edges):
         c = coloring.colors[e]
         sizes[c] += 1
         per_pair[(min(a, b), max(a, b))][c] += 1
-        per_vertex[a][c] += 1
-        per_vertex[b][c] += 1
     if not _within_one(sizes[1:]):
         return False
     for counts in per_pair.values():
         if not _within_one(counts[1:]):
             return False
-    for counts in per_vertex.values():
+    for counts in color_degrees(g, coloring.colors, k):
         if not _within_one(counts[1:]):
             return False
     return True

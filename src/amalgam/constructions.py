@@ -127,31 +127,23 @@ def check_feasibility(req: DecompositionRequest) -> FeasibilityReport:
         if req.parts is not None and len(set(req.parts)) > 1:
             out.violations.append("(i) parts must have equal sizes")
         return out
-    if kind == "embed-paths":
-        if req.base_graph is None or req.base_coloring is None:
+    if kind in ("embed-paths", "embed-factorization"):
+        base, coloring = req.base_graph, req.base_coloring
+        if base is None or coloring is None:
             return FeasibilityReport(["embedding requires a base coloring"])
-        return FeasibilityReport(
-            _path_embedding_violations(req.base_graph, req.base_coloring, req.extra)
-        )
-    if kind == "embed-factorization":
-        if req.base_graph is None or req.base_coloring is None:
-            return FeasibilityReport(["embedding requires a base coloring"])
-        violations, _ = _factor_embedding_sigma(
-            req.base_graph, req.base_coloring, req.extra, req.r
-        )
+        _require_simple_complete(base, coloring)
+        if kind == "embed-paths":
+            return FeasibilityReport(_path_embedding_violations(base, coloring, req.extra))
+        violations, _ = _factor_embedding_sigma(base, coloring, req.extra, req.r)
         return FeasibilityReport(violations)
     return FeasibilityReport([f"unknown request kind {kind!r}"])
 
 
 def _complete_feasibility(n: int, lam: int) -> FeasibilityReport:
-    violations = []
+    # an odd degree lam*(n-1) makes n even, so a 1-factor always fits
     if n < 1 or lam < 0:
-        violations.append("n must be >= 1 and lambda >= 0")
-    elif lam * (n - 1) % 2 and n % 2:
-        violations.append(
-            f"odd degree {lam * (n - 1)} needs a perfect matching, impossible on {n} vertices"
-        )
-    return FeasibilityReport(violations)
+        return FeasibilityReport(["n must be >= 1 and lambda >= 0"])
+    return FeasibilityReport()
 
 
 def _multipartite_feasibility(n, m, lam, parts, fair=False) -> FeasibilityReport:
@@ -160,11 +152,7 @@ def _multipartite_feasibility(n, m, lam, parts, fair=False) -> FeasibilityReport
     violations = []
     if parts is not None and len(set(parts)) > 1:
         violations.append("(i) parts must have equal sizes")
-    degree = lam * n * (m - 1)
-    if degree % 2 and (n * m) % 2:
-        violations.append(
-            f"odd degree {degree} needs a perfect matching, impossible on {n * m} vertices"
-        )
+    # an odd degree lam*n*(m-1) makes m even, so a 1-factor always fits
     if fair and lam != 1:
         violations.append("fair decomposition is only supported for multiplicity 1")
     return FeasibilityReport(violations)
@@ -180,16 +168,11 @@ def _two_class_feasibility(n, m, lam, mu, parts) -> FeasibilityReport:
         return FeasibilityReport(["n, m must be >= 1 and lambda, mu >= 0"])
     if parts is not None and len(set(parts)) > 1:
         return FeasibilityReport(["(i) parts must have equal sizes"])
+    # one part, or parts of one vertex, make a complete host, which the size
+    # checks above decide; for lambda = 0 or lambda = mu no test below fires
+    if 1 in (n, m):
+        return FeasibilityReport()
     violations = []
-    # degenerate shapes reduce to a complete or multipartite host
-    if m == 1:
-        return _complete_feasibility(n, lam)
-    if n == 1:
-        return _complete_feasibility(m, mu)
-    if lam == mu:
-        return _complete_feasibility(n * m, lam)
-    if lam == 0:
-        return _multipartite_feasibility(n, m, mu, None)
     if mu == 0:
         # disconnected unless the whole graph is a single perfect matching
         # (degree 1: zero cycles plus the 1-factor) or empty
@@ -197,16 +180,12 @@ def _two_class_feasibility(n, m, lam, mu, parts) -> FeasibilityReport:
             violations.append(
                 "multiple parts with no cross edges: the graph is disconnected"
             )
-        return FeasibilityReport(violations)
-    degree = _two_class_degree(n, m, lam, mu)
-    if degree % 2 == 0:
-        if lam > mu * n * (m - 1):
-            violations.append(f"(iii) lambda={lam} > mu*n*(m-1)={mu * n * (m - 1)}")
-    else:
-        if n >= 3 and lam > mu * n * (m - 1):
-            violations.append(f"(iii) lambda={lam} > mu*n*(m-1)={mu * n * (m - 1)}")
-        if n == 2 and lam - 1 > 2 * mu * (m - 1):
+    elif n == 2 and _two_class_degree(n, m, lam, mu) % 2:
+        # the odd n = 2 host peels one intra-part matching first
+        if lam - 1 > 2 * mu * (m - 1):
             violations.append(f"(iii) lambda-1={lam - 1} > 2*mu*(m-1)={2 * mu * (m - 1)}")
+    elif lam > mu * n * (m - 1):
+        violations.append(f"(iii) lambda={lam} > mu*n*(m-1)={mu * n * (m - 1)}")
     return FeasibilityReport(violations)
 
 
@@ -248,12 +227,7 @@ def _zigzag_cycles(n: int) -> list[list[tuple[int, int]]]:
     cycles = []
     for j in range(half):
         verts = [n - 1] + [(j + o) % ring for o in offsets]
-        cycles.append(
-            [
-                (min(verts[i], verts[(i + 1) % len(verts)]), max(verts[i], verts[(i + 1) % len(verts)]))
-                for i in range(len(verts))
-            ]
-        )
+        cycles.append([(min(a, b), max(a, b)) for a, b in zip(verts, verts[1:] + verts[:1])])
     return cycles
 
 
@@ -270,13 +244,6 @@ def _rotational_one_factors(n: int) -> list[list[tuple[int, int]]]:
     return factors
 
 
-def _paired_even_decomposition(n: int, order: list[int]):
-    """K_n (n even) as cycles + leave: consecutive factor pairs, last is the leave."""
-    factors = _rotational_one_factors(n)
-    cycles = [factors[order[t]] + factors[order[t + 1]] for t in range(0, len(order) - 1, 2)]
-    return cycles, factors[order[-1]]
-
-
 def walecki_direct(n: int, lam: int) -> DecompositionCertificate:
     """Rotational Hamiltonian decomposition of the lambda-fold K_n.
 
@@ -285,26 +252,19 @@ def walecki_direct(n: int, lam: int) -> DecompositionCertificate:
     odd (so n is even), one perfect-matching leave.
     """
     _ensure_feasible(_complete_feasibility(n, lam))
-    cycles: list[list[tuple[int, int]]] = []
-    leave: list[tuple[int, int]] | None = None
-    if n == 1 or lam == 0:
-        pass
-    elif n == 2:
-        cycles = [[(0, 1), (0, 1)] for _ in range(lam // 2)]
-        if lam % 2:
-            leave = [(0, 1)]
-    elif n % 2:
+    leave = None
+    if n % 2:
         cycles = _zigzag_cycles(n) * lam
     else:
-        order_a = list(range(n - 1))  # leave is the last factor
-        order_b = list(range(1, n - 1)) + [0]
-        for _ in range(lam // 2):
-            cyc_a, leave_a = _paired_even_decomposition(n, order_a)
-            cyc_b, leave_b = _paired_even_decomposition(n, order_b)
-            cycles += cyc_a + cyc_b + [leave_a + leave_b]
+        f = _rotational_one_factors(n)
+        # Pairing factors (0,1), (2,3), ... leaves f[n-2]; pairing (1,2),
+        # (3,4), ... leaves f[0]. Two copies of K_n take both pairings plus
+        # the cycle f[n-2] + f[0]; an odd copy out keeps f[n-2] as its leave.
+        pairs_a = [f[t] + f[t + 1] for t in range(0, n - 2, 2)]
+        pairs_b = [f[t] + f[t + 1] for t in range(1, n - 2, 2)]
+        cycles = (pairs_a + pairs_b + [f[n - 2] + f[0]]) * (lam // 2) + pairs_a * (lam % 2)
         if lam % 2:
-            cyc, leave = _paired_even_decomposition(n, order_a)
-            cycles += cyc
+            leave = f[n - 2]
     claims = tuple(ClassClaim(ROLE_HAMILTONIAN, tuple(c)) for c in cycles)
     if leave is not None:
         claims += (ClassClaim(ROLE_ONE_FACTOR, tuple(leave)),)
@@ -315,37 +275,40 @@ def walecki_direct(n: int, lam: int) -> DecompositionCertificate:
 # Fused-graph builders for complete hosts
 
 
-def _detach_loop_classes(nv: int, class_loops: Sequence[int]) -> tuple[Multigraph, EdgeColoring]:
-    """Split one all-loop vertex into nv vertices, one class per entry.
+def _loop_vertex(class_loops: Sequence[int]) -> tuple[Multigraph, EdgeColoring]:
+    """One vertex carrying ``class_loops[j-1]`` loops of class j.
 
-    Class j receives ``class_loops[j]`` loops; the result is an
-    edge-colored complete multigraph on nv vertices whose class degrees
-    are 2*class_loops[j]/nv each.
+    Detached into nv vertices, it is an edge-colored complete multigraph
+    whose class j has degree 2*class_loops[j-1]/nv at every vertex.
     """
-    total = sum(class_loops)
-    h = Multigraph(1, tuple([(0, 0)] * total))
-    colors = []
-    for j, cnt in enumerate(class_loops, start=1):
-        colors += [j] * cnt
-    coloring = EdgeColoring(len(class_loops), tuple(colors))
-    result = detach(h, coloring, [nv])
-    return result.g, result.coloring
+    h = Multigraph(1, ((0, 0),) * sum(class_loops))
+    colors = [j for j, count in enumerate(class_loops, start=1) for _ in range(count)]
+    return h, EdgeColoring(len(class_loops), tuple(colors))
 
 
-def _claims_from_coloring(
-    g: Multigraph,
-    coloring: EdgeColoring,
+def _detached_claims(
+    h: Multigraph, coloring: EdgeColoring, eta: Sequence[int], r: Sequence[int],
     roles: Sequence[str],
-    rs: Sequence[int] | None,
-    relabel: dict[int, int] | None = None,
 ) -> tuple[ClassClaim, ...]:
-    edges = g.edges if relabel is None else [(relabel[a], relabel[b]) for a, b in g.edges]
-    pairs = [(a, b) if a <= b else (b, a) for a, b in edges]
-    claims = []
-    for j, ids in enumerate(coloring.edge_ids_by_class()[1:], start=1):
-        r = rs[j - 1] if rs is not None else None
-        claims.append(ClassClaim(roles[j - 1], tuple(pairs[e] for e in ids), r=r))
-    return tuple(claims)
+    """Class claims after detaching each vertex p of h into eta[p] copies.
+
+    p's copies are renumbered in order from sum(eta[:p]); ``detach``
+    already numbers them so when only the last vertex splits. Class j
+    claims role roles[j-1], and degree r[j-1] when that role is an r-factor.
+    """
+    result = detach(h, coloring, eta)
+    relabel = {}
+    start = 0
+    for p, copies in enumerate(eta):
+        for idx, w in enumerate(sorted(result.labels[p])):
+            relabel[w] = start + idx
+        start += copies
+    ends = [(relabel[a], relabel[b]) for a, b in result.g.edges]
+    pairs = [(a, b) if a <= b else (b, a) for a, b in ends]
+    return tuple(
+        ClassClaim(role, tuple(pairs[e] for e in ids), r=rj if role == ROLE_R_FACTOR else None)
+        for ids, rj, role in zip(result.coloring.edge_ids_by_class()[1:], r, roles)
+    )
 
 
 def _hamiltonian_classes(
@@ -359,21 +322,18 @@ def _hamiltonian_classes(
     return [2] * k + [1] * odd, [role] * k + [ROLE_ONE_FACTOR] * odd
 
 
-def _complete_classes(
-    n: int, r: Sequence[int], roles: Sequence[str], rs: Sequence[int] | None
-) -> tuple[ClassClaim, ...]:
+def _complete_classes(n: int, r: Sequence[int], roles: Sequence[str]) -> tuple[ClassClaim, ...]:
     """Claims of K_n's factors of degrees r: one loop vertex detached to n."""
     if not r:
         return ()
-    g, coloring = _detach_loop_classes(n, [n * ri // 2 for ri in r])
-    return _claims_from_coloring(g, coloring, roles, rs)
+    return _detached_claims(*_loop_vertex([n * ri // 2 for ri in r]), [n], r, roles)
 
 
 def ham_decompose_complete(n: int, lam: int) -> DecompositionCertificate:
     """Hamiltonian decomposition of lambda-fold K_n via the fused-graph route."""
     _ensure_feasible(_complete_feasibility(n, lam))
     r, roles = _hamiltonian_classes(lam * (n - 1))
-    claims = _complete_classes(n, r, roles, None)
+    claims = _complete_classes(n, r, roles)
     return _certified(DecompositionCertificate(complete_graph(n, lam), claims))
 
 
@@ -381,7 +341,7 @@ def factorize_complete(n: int, lam: int, r: Sequence[int]) -> DecompositionCerti
     """Split lambda-fold K_n into spanning regular factors of the given degrees."""
     r = tuple(r)
     _ensure_feasible(_factorization_feasibility(n, lam, r))
-    claims = _complete_classes(n, r, [ROLE_R_FACTOR] * len(r), r)
+    claims = _complete_classes(n, r, [ROLE_R_FACTOR] * len(r))
     return _certified(DecompositionCertificate(complete_graph(n, lam), claims))
 
 
@@ -413,7 +373,7 @@ def _path_embedding_violations(
     violations = []
     if n < 1:
         return ["must add at least one vertex"]
-    if k != (m + n - 1 + 1) // 2:
+    if k != (m + n) // 2:
         return [f"need k={(m + n) // 2} classes, got {k}"]
     matching_class = k if (m + n) % 2 == 0 else None
     deg = color_degrees(base, coloring.colors, k)
@@ -441,8 +401,7 @@ def _path_embedding_violations(
 
 
 def _embed(
-    base: Multigraph, coloring: EdgeColoring, n: int, r: Sequence[int],
-    roles: Sequence[str], rs: Sequence[int] | None,
+    base: Multigraph, coloring: EdgeColoring, n: int, r: Sequence[int], roles: Sequence[str]
 ) -> DecompositionCertificate:
     """Grow class j of a colored K_m into a factor of degree r[j] of K_{m+n}.
 
@@ -465,8 +424,7 @@ def _embed(
         colors += [j] * loops
     h = Multigraph(m + 1, tuple(edges))
     fused_coloring = EdgeColoring(coloring.k, tuple(colors))
-    result = detach(h, fused_coloring, [1] * m + [n])
-    claims = _claims_from_coloring(result.g, result.coloring, roles, rs)
+    claims = _detached_claims(h, fused_coloring, [1] * m + [n], r, roles)
     return _certified(DecompositionCertificate(complete_graph(m + n, 1), claims))
 
 
@@ -483,7 +441,7 @@ def embed_complete_paths(
     violations = _path_embedding_violations(base, base_coloring, n)
     _ensure_feasible(FeasibilityReport(violations))
     r, roles = _hamiltonian_classes(base.vertex_count + n - 1)
-    return _embed(base, base_coloring, n, r, roles, None)
+    return _embed(base, base_coloring, n, r, roles)
 
 
 def _factor_embedding_sigma(
@@ -560,31 +518,15 @@ def embed_factorization(
     violations, sigma = _factor_embedding_sigma(base, base_coloring, n, r)
     _ensure_feasible(FeasibilityReport(violations))
     rs = [r[slot] for slot in sigma]
-    return _embed(base, base_coloring, n, rs, [ROLE_R_FACTOR] * len(rs), rs)
+    return _embed(base, base_coloring, n, rs, [ROLE_R_FACTOR] * len(rs))
 
 
 # ---------------------------------------------------------------------------
 # Multipartite and two-class hosts
 
 
-def _part_classes(
-    h: Multigraph, coloring: EdgeColoring, n: int, m: int, roles: Sequence[str],
-    rs: Sequence[int] | None,
-) -> tuple[ClassClaim, ...]:
-    """Claims after detaching each of h's m vertices into a part of n.
-
-    The detached vertices of part p are relabeled p*n .. p*n+n-1.
-    """
-    result = detach(h, coloring, [n] * m)
-    relabel = {}
-    for p in range(m):
-        for idx, w in enumerate(sorted(result.labels[p])):
-            relabel[w] = p * n + idx
-    return _claims_from_coloring(result.g, result.coloring, roles, rs, relabel)
-
-
 def _multipartite_classes(
-    n: int, m: int, r: Sequence[int], roles: Sequence[str], rs: Sequence[int] | None,
+    n: int, m: int, r: Sequence[int], roles: Sequence[str]
 ) -> tuple[ClassClaim, ...]:
     """Claims of the factors of degrees r of a complete multipartite host.
 
@@ -596,8 +538,8 @@ def _multipartite_classes(
     """
     if not r:
         return ()
-    g1, col1 = _detach_loop_classes(m, [m * n * ri // 2 for ri in r])
-    return _part_classes(g1, col1, n, m, roles, rs)
+    parts = detach(*_loop_vertex([m * n * ri // 2 for ri in r]), [m])
+    return _detached_claims(parts.g, parts.coloring, [n] * m, r, roles)
 
 
 def ham_decompose_multipartite(
@@ -611,7 +553,7 @@ def ham_decompose_multipartite(
     r, roles = _hamiltonian_classes(
         lam * n * (m - 1), ROLE_FAIR_HAMILTONIAN if fair else ROLE_HAMILTONIAN
     )
-    claims = _multipartite_classes(n, m, r, roles, None)
+    claims = _multipartite_classes(n, m, r, roles)
     host = two_class_graph(n, m, 0, lam)
     return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
 
@@ -622,7 +564,7 @@ def factorize_multipartite(n: int, m: int, lam: int, r: Sequence[int]) -> Decomp
     _ensure_feasible(check_feasibility(
         DecompositionRequest("factorize-multipartite", n=n, m=m, lam=lam, r=r)
     ))
-    claims = _multipartite_classes(n, m, r, [ROLE_R_FACTOR] * len(r), r)
+    claims = _multipartite_classes(n, m, r, [ROLE_R_FACTOR] * len(r))
     host = two_class_graph(n, m, 0, lam)
     return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
 
@@ -697,21 +639,17 @@ def _two_class_claims(n: int, m: int, lam: int, mu: int, degree: int) -> tuple[C
     Shapes whose host is complete or multipartite are built as such.
     """
     r, roles = _hamiltonian_classes(degree)
-    if m == 1:
-        return _complete_classes(n, r, roles, None)
-    if n == 1:
-        return _complete_classes(m, r, roles, None)
-    if lam == mu:
-        return _complete_classes(n * m, r, roles, None)
+    if 1 in (n, m) or lam == mu:
+        return _complete_classes(n * m, r, roles)
     if lam == 0:
-        return _multipartite_classes(n, m, r, roles, None)
+        return _multipartite_classes(n, m, r, roles)
     if degree % 2 and n == 2:
         # peel one intra-part matching; the remainder has even degree
         matching = tuple((2 * p, 2 * p + 1) for p in range(m))
         inner = _two_class_claims(2, m, lam - 1, mu, degree - 1)
         return inner + (ClassClaim(ROLE_ONE_FACTOR, matching),)
     h, coloring = _two_class_coloring(n, m, lam, mu, degree)
-    return _part_classes(h, coloring, n, m, roles, None)
+    return _detached_claims(h, coloring, [n] * m, r, roles)
 
 
 def _two_class_certificate(

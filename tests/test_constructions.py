@@ -6,7 +6,9 @@ import pytest
 from amalgam import (
     DecompositionRequest,
     EdgeColoring,
+    GraphUsageError,
     InfeasibleError,
+    Multigraph,
     ROLE_FAIR_HAMILTONIAN,
     ROLE_HAMILTONIAN,
     ROLE_ONE_FACTOR,
@@ -180,6 +182,25 @@ def test_embed_factorization_degree_cap_infeasible():
     with pytest.raises(InfeasibleError) as exc:
         embed_factorization(base, EdgeColoring(2, colors), 2, (1, 4))
     assert any("assignment" in v for v in exc.value.report.violations)
+
+
+@pytest.mark.parametrize("base, coloring", [
+    (Multigraph(3, ((0, 1), (0, 2))), EdgeColoring(1, (1, 1))),  # K_3 minus an edge
+    (complete_graph(3, 1), EdgeColoring(1, (1, 1))),  # coloring one edge short
+    (complete_graph(3, 1), EdgeColoring(1, (1, 1, 1, 1))),  # coloring one edge long
+])
+def test_malformed_embed_base_is_a_usage_error(base, coloring):
+    requests = [
+        ("embed-paths", (), lambda: embed_complete_paths(base, coloring, 2)),
+        ("embed-factorization", (2,), lambda: embed_factorization(base, coloring, 2, (2,))),
+    ]
+    for kind, r, build in requests:
+        req = DecompositionRequest(kind, base_graph=base, base_coloring=coloring, extra=2, r=r)
+        with pytest.raises(GraphUsageError) as from_check:
+            check_feasibility(req)
+        with pytest.raises(GraphUsageError) as from_builder:
+            build()
+        assert str(from_check.value) == str(from_builder.value)
 
 
 def test_assign_classes_agrees_with_exhaustive_oracle():

@@ -12,14 +12,22 @@ import json
 import random
 
 from amalgam import (
+    EdgeColoring,
     Multigraph,
     bee_coloring,
     certificate_to_json,
     coloring_to_json,
+    complete_graph,
+    decompose_two_class,
     detach,
+    embed_complete_paths,
+    embed_factorization,
     factorize_complete,
+    factorize_multipartite,
     graph_to_json,
     ham_decompose_complete,
+    ham_decompose_multipartite,
+    walecki_direct,
 )
 from tests.conftest import random_bipartite, random_detachment_instance
 
@@ -56,6 +64,48 @@ def test_pinned_certificates():
     )
     assert _digest(certificate_to_json(factorize_complete(20, 1, (4, 4, 5, 6)))) == (
         "538c05e066fdbf03bcec8df4123eb296a00a60d63124cc1d085ad3dc30eb4450"
+    )
+
+
+def _cert_digest(cert) -> str:
+    return _digest(certificate_to_json(cert))
+
+
+def test_pinned_builder_routes():
+    # one call per route of walecki_direct, the multipartite and two-class
+    # hosts and both embeddings
+    assert [_cert_digest(walecki_direct(n, lam)) for n, lam in ((2, 3), (9, 2), (10, 3))] == [
+        "9f305a6ad500944a1e80d7573da9fcee8fe7a5577dd7b5fd9e6fe665b895eb73",
+        "4a473e661739b4cae258950f8e94b54daeeae67f6dfaf226ff9bd043d3dc62e9",
+        "a8d433d500a82ff27006ad97736b44754c72c0e4e9aae95994842e22941f1412",
+    ]
+    assert _cert_digest(ham_decompose_multipartite(3, 3, 1, fair=True)) == (
+        "3c42449e786ce8ca457173b301bd6292ad7ab83f56466353a3511aaff4cdcc19"
+    )
+    assert _cert_digest(factorize_multipartite(2, 3, 1, (2, 2))) == (
+        "09b267405c30ca24fb508f75d78ea3e85f797e707abf2b68726c06638e226870"
+    )
+    shapes = ((3, 3, 2, 1), (2, 3, 3, 1), (1, 4, 2, 1))
+    assert [_cert_digest(decompose_two_class(*shape)) for shape in shapes] == [
+        "c26bc17f08b4026a93b844f65713303363e60905155a53504bc51bb5c869095b",
+        "f959988d230f58f5d840bdff3da365d573bcfb828d8648645c23a36a733a8635",
+        "1049c3eefb42b03b9f1df259051070767d9cbdf3d5799180d87a6b3978c32066",
+    ]
+    k5 = complete_graph(5, 1)
+    by_pair = {
+        (0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1,
+        (0, 2): 2, (1, 3): 2, (0, 4): 2,
+        (0, 3): 3, (1, 4): 3, (2, 4): 3,
+    }
+    paths = EdgeColoring(3, tuple(by_pair[e] for e in k5.edges))
+    assert _cert_digest(embed_complete_paths(k5, paths, 2)) == (
+        "68aa24f55fb2e9921d5bbf01eeb83a1fdf36246b2a3bba4c72feaff55614dac9"
+    )
+    # class 1 is the star at 0 and fits only the degree-4 slot
+    k4 = complete_graph(4, 1)
+    star = EdgeColoring(2, tuple(1 if 0 in e else 2 for e in k4.edges))
+    assert _cert_digest(embed_factorization(k4, star, 3, (2, 4))) == (
+        "62d14970094b932ad538a3618b29b7fc3916439638ae1211effe02ce9e6fd5e6"
     )
 
 
