@@ -125,22 +125,18 @@ def _even_class_split(
     """
     if not edges:
         return set()
-    eids: list[int] = []
-    arcs: list[tuple[int, int, int, int]] = []
-    indeg: Counter[int] = Counter()
-    # node split: v_in = 2v, v_out = 2v+1; edge arcs first, so arc i carries eids[i]
-    for trail in euler_circuits(vertex_count, edges):
-        for eid, u, v in trail:
-            eids.append(eid)
-            arcs.append((2 * u + 1, 2 * v, 0, 1))
-            indeg[v] += 1
-    for v, d in sorted(indeg.items()):
-        half = d  # in-degree equals degree/2
-        arcs.append((2 * v, 2 * v + 1, half // divisor, -(-half // divisor)))
-    flow = feasible_circulation(2 * vertex_count, arcs)
+    # node split: v_in = 2v, v_out = 2v+1; edge arcs first, so arc i is steps[i]
+    steps = [step for trail in euler_circuits(vertex_count, edges) for step in trail]
+    indeg = Counter(v for _, _, v in steps)  # in-degree equals degree/2
+    order = sorted(indeg)
+    tails = [2 * u + 1 for _, u, _ in steps] + [2 * v for v in order]
+    heads = [2 * v for _, _, v in steps] + [2 * v + 1 for v in order]
+    lo = [0] * len(steps) + [indeg[v] // divisor for v in order]
+    hi = [1] * len(steps) + [-(-indeg[v] // divisor) for v in order]
+    flow = feasible_circulation(2 * vertex_count, tails, heads, lo, hi)
     if flow is None:
         raise RuntimeError("even class split has no circulation; this indicates a bug")
-    return {eid for eid, f in zip(eids, flow) if f == 1}
+    return {eid for (eid, _, _), f in zip(steps, flow) if f == 1}
 
 
 def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:

@@ -281,60 +281,62 @@ def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:
 
     One walk over u's sorted cells collects the row and column sums and
     each qualifying row's cells and group ids, read off the star's
-    union-finds. So a split costs O(deg u) plus its circulation. Nodes:
-    source 0, sink 1, the rows, the columns, then the groups; arcs: rows,
-    groups, cells, columns, total. Raises ``DetachmentError`` naming the
-    split: with no color if the windows admit no circulation, or with the
-    first qualifying color whose row breaks a component. The argument
-    above rules out both.
+    union-finds, so a split costs O(deg u) plus its circulation. Nodes:
+    source 0, sink 1, the rows, the columns, then the groups; the arcs,
+    as ``feasible_circulation``'s parallel lists: rows, groups, cells,
+    columns, total. Raises ``DetachmentError`` naming the split: with no
+    color if the windows admit no circulation, or with the first
+    qualifying color whose row breaks a component. The argument above
+    rules out both.
     """
     cell_slots, groups = star.cell_slots, star.groups
     cells = sorted(cell_slots)
     sizes = [len(cell_slots[cell]) for cell in cells]
     rows: dict[int, int] = {}  # color -> slots at u
     cols: dict[int, int] = {}  # neighbor -> slots at u
-    tails: list[int] = []  # each cell's row node, or its group's node below
+    cell_tails: list[int] = []  # each cell's row node, or its group's node below
     # qualifying color -> its cells as (neighbor, index), neighbor -> group id, cells per group
     quals: dict[int, tuple[list[tuple[int, int]], dict[int, int], list[list[int]]]] = {}
     for i, ((c, z), size) in enumerate(zip(cells, sizes)):
         if c not in rows:  # the cells come color by color
             rows[c] = 0
-            roots: dict[int, int] = {}  # c's group roots -> group ids
-            if c in groups:
-                quals[c] = ([], {}, [])
+            parent = groups.get(c)  # c's union-find, if c qualifies
+            if parent is not None:
+                row, group_of, members = quals[c] = ([], {}, [])
+                roots: dict[int, int] = {}  # c's group roots -> group ids
         rows[c] += size
         cols[z] = cols.get(z, 0) + size
-        tails.append(1 + len(rows))
-        if c in quals:
-            row, group_of, members = quals[c]
+        cell_tails.append(1 + len(rows))
+        if parent is not None:
             row.append((z, i))
             if z != _LOOP:
-                group = group_of[z] = roots.setdefault(find(groups[c], z), len(roots))
+                group = group_of[z] = roots.setdefault(find(parent, z), len(roots))
                 if group == len(members):
                     members.append([])
                 members[group].append(i)
 
     col_node = {z: n for n, z in enumerate(sorted(cols), 2 + len(rows))}
     node = 2 + len(rows) + len(cols)
-    arcs = [(0, n, s // delta, -(-s // delta)) for n, s in enumerate(rows.values(), 2)]
+    # the arcs as parallel lists; arc i's window shares out sums[i] slots
+    sums = list(rows.values())
+    tails = [0] * len(rows)
+    heads = list(range(2, 2 + len(rows)))
     # a group's cells leave from one node under its color's row
     for _, _, members in quals.values():
         for group in members:
             if len(group) > 1:
-                s = sum(sizes[i] for i in group)
-                arcs.append((tails[group[0]], node, s // delta, -(-s // delta)))
+                sums.append(sum([sizes[i] for i in group]))
+                tails.append(cell_tails[group[0]])
+                heads.append(node)
                 for i in group:
-                    tails[i] = node
+                    cell_tails[i] = node
                 node += 1
-    first = len(arcs)
-    arcs += [
-        (tail, col_node[z], s // delta, -(-s // delta))
-        for tail, (_, z), s in zip(tails, cells, sizes)
-    ]
-    arcs += [(n, 1, cols[z] // delta, -(-cols[z] // delta)) for z, n in col_node.items()]
-    total = sum(sizes)
-    arcs.append((1, 0, total // delta, -(-total // delta)))
-    flow = feasible_circulation(node, arcs)
+    first = len(sums)
+    sums += sizes + [cols[z] for z in col_node] + [sum(sizes)]
+    tails += cell_tails + [*col_node.values(), 1]
+    heads += [col_node[z] for _, z in cells] + [1] * len(cols) + [0]
+    lo = [s // delta for s in sums]
+    flow = feasible_circulation(node, tails, heads, lo, [-(-s // delta) for s in sums])
     if flow is None:
         raise DetachmentError(["construction"], vertex=star.u, delta=delta)
     takes = flow[first : first + len(cells)]
@@ -350,21 +352,21 @@ def keeps_components(group_of: dict[int, int], row) -> bool:
     ``row`` holds (neighbor, slots moved, slots) per cell of the color at
     u, and ``group_of`` maps each neighbor to its group. Components away
     from u stay as they are and u joins all its groups, so the count is
-    kept iff the quotient graph on the groups, u and the fresh vertex w,
-    with one or two edges per cell, is connected once the row has moved.
+    kept iff the quotient graph on the groups, u and the fresh vertex w is
+    connected once the row has moved. It has an edge from w to each group
+    that moves a slot and from u to each group that keeps one, loops at u
+    being u's own group: parallel edges never change a component count.
     """
     u, w = -1, -2  # group ids are >= 0
-    edges = []
+    moved: dict[int, int] = {}  # group -> w
+    kept: dict[int, int] = {}  # group -> u
     for z, take, size in row:
-        if z == _LOOP:
-            # every loop keeps an endpoint at u; one with an endpoint moved joins u and w
-            edges.append((u, w) if take else (u, u))
-            continue
+        group = u if z == _LOOP else group_of[z]
         if take:
-            edges.append((w, group_of[z]))
+            moved[group] = w
         if take < size:
-            edges.append((u, group_of[z]))
-    return edge_component_count(edges) == 1
+            kept[group] = u
+    return edge_component_count([*moved.items(), *kept.items()]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ split solves one circulation of its quota windows. The laminar quota
 selection and the Euler-orientation splitting of the coloring engines
 use it too. Not a general flow library.
 
-A circulation costs one pass over its arcs plus a max-flow over the arcs
-with room: an arc with lo = hi only moves its lower bound into the node
-excesses and never enters the flow network. The split windows are mostly
-of width 0 or 1, so what is left is a unit-capacity network, where each
-Dinic phase is linear in its arcs (Even & Tarjan, SIAM J. Comput. 4, 1975).
-The augmenting-path search is iterative, so no depth of network reaches
-Python's recursion limit.
+The arcs come as four parallel lists, and one pass over them folds each
+lower bound into the node excesses and writes each arc with room straight
+into the Dinic arrays: an arc with lo = hi never enters the flow network.
+The split windows are mostly of width 0 or 1, so what is left is a
+unit-capacity network, where each Dinic phase is linear in its arcs
+(Even & Tarjan, SIAM J. Comput. 4, 1975). The augmenting-path search is
+iterative, so no depth of network reaches Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -43,48 +43,53 @@ class Dinic:
         Each phase walks paths from s along the current arc of each node.
         An augmentation keeps the path up to its first saturated arc and
         walks on from there, and a dead end advances its parent's current
-        arc; so every path is the one a recursive walk restarted at s
-        would find, without its recursion depth.
+        arc and leaves the level graph (no level arc opens within a phase);
+        so every path is the one a recursive walk restarted at s would
+        find, without its recursion depth.
         """
-        head, to, cap = self.head, self.to, self.cap
+        head, to, cap, n = self.head, self.to, self.cap, self.n
         total = 0
         while True:
-            level = [-1] * self.n
+            level = [-1] * n
             level[s] = 0
             queue = [s]
             for u in queue:  # the list grows while it is walked: a FIFO queue
                 next_level = level[u] + 1
                 for idx in head[u]:
                     v = to[idx]
-                    if cap[idx] > 0 and level[v] < 0:
+                    if cap[idx] and level[v] < 0:
                         level[v] = next_level
                         queue.append(v)
                 if level[t] >= 0:
                     break  # nodes at t's level or beyond cannot reach t
             if level[t] < 0:
                 return total
-            it = [0] * self.n
+            it = [0] * n
             path: list[int] = []  # arcs from s to u
             u = s
             while True:
                 if u == t:
-                    pushed = min(cap[idx] for idx in path)
+                    pushed = min([cap[idx] for idx in path])
                     for idx in path:
                         cap[idx] -= pushed
                         cap[idx ^ 1] += pushed
                     total += pushed
-                    k = next(i for i, idx in enumerate(path) if not cap[idx])
-                    del path[k:]
+                    del path[[cap[idx] for idx in path].index(0) :]
                     u = to[path[-1]] if path else s
                     continue
                 arcs, i, want = head[u], it[u], level[u] + 1
-                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == want):
+                end = len(arcs)
+                while i < end:
+                    idx = arcs[i]
+                    if cap[idx] and level[to[idx]] == want:
+                        break
                     i += 1
                 it[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
+                if i < end:
+                    path.append(idx)
+                    u = to[idx]
                 elif path:  # dead end: retreat and advance the parent's current arc
+                    level[u] = -1
                     u = to[path.pop() ^ 1]
                     it[u] += 1
                 else:
@@ -92,37 +97,44 @@ class Dinic:
 
 
 def feasible_circulation(
-    num_nodes: int, arcs: list[tuple[int, int, int, int]]
+    num_nodes: int, tails: list[int], heads: list[int], lo: list[int], hi: list[int]
 ) -> list[int] | None:
     """Integral circulation respecting per-arc bounds, or None if infeasible.
 
-    ``arcs`` holds (u, v, lo, hi). Uses the standard excess transformation:
-    send the mandatory lo units, then repair imbalances via a super
-    source/sink max-flow; feasible iff all imbalance is absorbed. Only the
-    arcs with hi > lo enter the max-flow network.
+    Arc i runs from ``tails[i]`` to ``heads[i]`` and carries ``lo[i]`` to
+    ``hi[i]`` units. Uses the standard excess transformation: send the
+    mandatory lo units, then repair imbalances via a super source/sink
+    max-flow; feasible iff all imbalance is absorbed. The arcs with
+    hi > lo enter the network in list order; each one's flow is hi minus
+    the capacity its network arc has left.
     """
     excess = [0] * num_nodes
     s, t = num_nodes, num_nodes + 1
     net = Dinic(num_nodes + 2)
-    flow = []
-    free = []  # (index in arcs, network arc, room) of each arc with hi > lo
-    for i, (u, v, lo, hi) in enumerate(arcs):
-        if lo > hi or lo < 0:
-            raise ValueError(f"bad bounds [{lo},{hi}] on arc ({u},{v})")
-        excess[v] += lo
-        excess[u] -= lo
-        flow.append(lo)
-        if hi > lo:
-            free.append((i, net.add_arc(u, v, hi - lo), hi - lo))
+    head, to, cap = net.head, net.to, net.cap
+    free = []  # each arc with hi > lo; the k-th one's network arc is 2k
+    for i, u, v, a, b in zip(range(len(tails)), tails, heads, lo, hi, strict=True):
+        if not 0 <= a <= b:
+            raise ValueError(f"bad bounds [{a},{b}] on arc ({u},{v})")
+        if a:
+            excess[v] += a
+            excess[u] -= a
+        if b > a:
+            head[u].append(len(to))
+            head[v].append(len(to) + 1)
+            free.append(i)
+            to += (v, u)
+            cap += (b - a, 0)
     need = 0
-    for v in range(num_nodes):
-        if excess[v] > 0:
-            net.add_arc(s, v, excess[v])
-            need += excess[v]
-        elif excess[v] < 0:
-            net.add_arc(v, t, -excess[v])
+    for v, x in enumerate(excess):
+        if x > 0:
+            net.add_arc(s, v, x)
+            need += x
+        elif x < 0:
+            net.add_arc(v, t, -x)
     if net.max_flow(s, t) != need:
         return None
-    for i, arc, room in free:
-        flow[i] += room - net.cap[arc]
+    flow = list(hi)
+    for i, left in zip(free, cap[::2]):
+        flow[i] -= left
     return flow

@@ -92,31 +92,21 @@ def select_subset(
     node_b = [2 + len(sets_a) + i for i in range(len(sets_b))]
     num_nodes = 2 + len(sets_a) + len(sets_b)
 
-    arcs: list[tuple[int, int, int, int]] = []
-    for i, s in enumerate(sets_a):
-        tail = src if par_a[i] < 0 else node_a[par_a[i]]
-        arcs.append((tail, node_a[i], len(s) // n, -(-len(s) // n)))
-    for i, s in enumerate(sets_b):
-        head = snk if par_b[i] < 0 else node_b[par_b[i]]
-        arcs.append((node_b[i], head, len(s) // n, -(-len(s) // n)))
-
-    element_arcs = []
-    for x in range(s_size):
-        ia, ib = owner_a[x], owner_b[x]
-        if ia < 0 and ib < 0:
-            element_arcs.append(None)  # unconstrained; excluded by default
-            continue
-        tail = src if ia < 0 else node_a[ia]
-        head = snk if ib < 0 else node_b[ib]
-        element_arcs.append(len(arcs))
-        arcs.append((tail, head, 0, 1))
-    arcs.append((snk, src, 0, s_size))
-
-    flow = feasible_circulation(num_nodes, arcs)
+    # arcs: each member set under its parent, then one [0, 1] arc per element
+    # in some member set (the others are left out), then sink to source
+    elements = [x for x in range(s_size) if owner_a[x] >= 0 or owner_b[x] >= 0]
+    tails = [src if p < 0 else node_a[p] for p in par_a] + node_b
+    tails += [src if owner_a[x] < 0 else node_a[owner_a[x]] for x in elements] + [snk]
+    heads = node_a + [snk if p < 0 else node_b[p] for p in par_b]
+    heads += [snk if owner_b[x] < 0 else node_b[owner_b[x]] for x in elements] + [src]
+    sets = sets_a + sets_b
+    lo = [len(s) // n for s in sets] + [0] * (len(elements) + 1)
+    hi = [-(-len(s) // n) for s in sets] + [1] * len(elements) + [s_size]
+    flow = feasible_circulation(num_nodes, tails, heads, lo, hi)
     if flow is None:
         raise RuntimeError(
             "no quota-respecting subset found; one always exists for laminar "
             "inputs, so this indicates a bug"
         )
-    return {x for x in range(s_size) if element_arcs[x] is not None and flow[element_arcs[x]] == 1}
+    return {x for x, f in zip(elements, flow[len(sets) :]) if f == 1}
 

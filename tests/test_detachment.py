@@ -21,10 +21,11 @@ from amalgam import (
     verify_detachment,
     walecki_direct,
 )
-from amalgam.detachment import _Star, edge_component_count, keeps_components
+from amalgam.detachment import _LOOP, _Star, edge_component_count, keeps_components
 from tests.conftest import random_detachment_instance
 from tests.oracles import (
     _pairwise_verify_detachment,
+    _per_cell_keeps_components,
     _rebuilt_row_keeps_components,
     _rescanned_split_state,
     approx,
@@ -355,6 +356,26 @@ def test_component_test_matches_rebuilt_edge_lists(monkeypatch):
         detach(*inst)  # walks the real split sequence, checking every split on the way
         done += 1
     assert len(rows_checked) > 1000
+
+
+def test_guard_matches_per_cell_oracle_on_every_small_row():
+    # every row of at most 4 neighbor cells over at most 3 groups, each cell
+    # of 1-3 slots with every take, with no loop cell or a one-loop cell and
+    # every take; group ids are only names, so the groups used are 0..k-1
+    cells = [(g, size, take) for g in range(3) for size in (1, 2, 3) for take in range(size + 1)]
+    loops = [[]] + [[(_LOOP, take, 2)] for take in range(3)]
+    verdicts = Counter()
+    for m in range(5):
+        for chosen in itertools.combinations_with_replacement(cells, m):
+            group_of = {z: g for z, (g, _, _) in enumerate(chosen)}
+            if set(group_of.values()) != set(range(len(set(group_of.values())))):
+                continue
+            for loop in loops:
+                row = loop + [(z, take, size) for z, (_, size, take) in enumerate(chosen)]
+                verdict = keeps_components(group_of, row)
+                assert verdict == _per_cell_keeps_components(group_of, row), (group_of, row)
+                verdicts[verdict] += 1
+    assert verdicts == {True: 69_863, False: 3_197}
 
 
 def test_complete_41_certifies():

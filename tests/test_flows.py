@@ -7,6 +7,12 @@ from amalgam.flows import Dinic, feasible_circulation
 from tests.oracles import _RecursiveDinic, _recursive_circulation
 
 
+def _circulation(num_nodes, arcs):
+    """``feasible_circulation`` on (u, v, lo, hi) tuples, unzipped into its parallel lists."""
+    tails, heads, lo, hi = (list(column) for column in zip(*arcs)) if arcs else ([], [], [], [])
+    return feasible_circulation(num_nodes, tails, heads, lo, hi)
+
+
 def test_max_flow_simple_path():
     net = Dinic(3)
     net.add_arc(0, 1, 5)
@@ -27,7 +33,7 @@ def test_max_flow_classic_diamond():
 def test_circulation_respects_bounds():
     # cycle 0 -> 1 -> 2 -> 0 with a forced lower bound
     arcs = [(0, 1, 2, 5), (1, 2, 0, 5), (2, 0, 0, 5)]
-    flow = feasible_circulation(3, arcs)
+    flow = _circulation(3, arcs)
     assert flow is not None
     for f, (u, v, lo, hi) in zip(flow, arcs):
         assert lo <= f <= hi
@@ -41,12 +47,28 @@ def test_circulation_respects_bounds():
 
 def test_circulation_infeasible():
     # lower bound on a dead-end arc can never circulate back
-    assert feasible_circulation(2, [(0, 1, 1, 1)]) is None
+    assert _circulation(2, [(0, 1, 1, 1)]) is None
 
 
 def test_circulation_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        feasible_circulation(2, [(0, 1, 3, 2)])
+        _circulation(2, [(0, 1, 3, 2)])
+
+
+def test_circulation_of_no_arcs_is_empty():
+    assert feasible_circulation(3, [], [], [], []) == []
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 2), (3, 2)])
+def test_circulation_rejects_bounds_outside_zero_to_hi(lo, hi):
+    # the second arc's bounds are bad, and the error names that arc
+    with pytest.raises(ValueError, match=rf"bad bounds \[{lo},{hi}\] on arc \(1,0\)"):
+        feasible_circulation(2, [0, 1], [1, 0], [0, lo], [1, hi])
+
+
+def test_circulation_rejects_lists_of_unequal_length():
+    with pytest.raises(ValueError):
+        feasible_circulation(2, [0, 1], [1, 0], [0], [1, 1])
 
 
 def test_circulation_random_instances_conserve():
@@ -58,7 +80,7 @@ def test_circulation_random_instances_conserve():
             u, v = rng.randint(0, n - 1), rng.randint(0, n - 1)
             lo = rng.randint(0, 2)
             arcs.append((u, v, lo, lo + rng.randint(0, 3)))
-        flow = feasible_circulation(n, arcs)
+        flow = _circulation(n, arcs)
         if flow is None:
             continue
         net = [0] * n
@@ -117,7 +139,7 @@ def test_circulation_matches_recursive_oracle():
     for i in range(6000):
         widths = ((0, 1), (0, 0, 1), (0, 1, 2, 5), (1,))[i % 4]
         n, arcs = _random_network(rng, widths, planted=i % 3 != 0)
-        flow = feasible_circulation(n, arcs)
+        flow = _circulation(n, arcs)
         assert flow == _recursive_circulation(n, arcs), (n, arcs)
         if flow is not None:
             assert _is_circulation(n, arcs, flow)
@@ -154,7 +176,7 @@ def test_circulation_matches_brute_force():
             _is_circulation(n, arcs, list(values))
             for values in itertools.product(*(range(lo, hi + 1) for _, _, lo, hi in arcs))
         )
-        flow = feasible_circulation(n, arcs)
+        flow = _circulation(n, arcs)
         assert (flow is not None) == exists, (n, arcs)
         if flow is not None:
             assert _is_circulation(n, arcs, flow), (n, arcs, flow)
@@ -168,4 +190,4 @@ def test_long_chain_needs_no_recursion():
         net.add_arc(v, v + 1, 2)
     assert net.max_flow(0, n - 1) == 2
     arcs = [(v, v + 1, 0, 1) for v in range(n - 1)] + [(n - 1, 0, 1, 1)]
-    assert feasible_circulation(n, arcs) == [1] * n
+    assert _circulation(n, arcs) == [1] * n

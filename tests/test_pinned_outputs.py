@@ -22,14 +22,17 @@ from amalgam import (
     detach,
     embed_complete_paths,
     embed_factorization,
+    evenly_equitable_coloring,
     factorize_complete,
     factorize_multipartite,
     graph_to_json,
     ham_decompose_complete,
     ham_decompose_multipartite,
+    select_subset,
     walecki_direct,
 )
 from tests.conftest import random_bipartite, random_detachment_instance
+from tests.oracles import _random_laminar
 
 
 def _digest(obj) -> str:
@@ -130,4 +133,26 @@ def test_pinned_bee_colorings():
     colorings += [bee_coloring(path, set(range(0, m, 2)), k).colors for k in (2, 3)]
     assert _digest(colorings) == (
         "2e89ae73b6e441ac08ba7537268b6a39a4e0660c3b88b2d308336e8028e0335f"
+    )
+
+
+def test_pinned_large_networks_and_other_circulation_callers():
+    # K_61's splits have up to 60 cells per color and many group arcs; the
+    # evenly-equitable split and the laminar selection build their own networks
+    assert _cert_digest(ham_decompose_complete(61, 1)) == (
+        "492c68a30b2c6d215607ae083ad4b67ffeed7144ae0295876b8f772feca8317e"
+    )
+    n = 1000
+    circulant = Multigraph(n, tuple((v, (v + d) % n) for v in range(n) for d in (1, 2)))
+    assert _digest(evenly_equitable_coloring(circulant, 2).colors) == (
+        "538c084d8e02e2f5ffff7d24c47b3d2089266e20bc3683a58f7ed20015bba02c"
+    )
+    rng = random.Random(31)
+    draws = []
+    for _ in range(20):
+        size = rng.randint(20, 200)
+        fam_a, fam_b = _random_laminar(rng, size), _random_laminar(rng, size)
+        draws.append(sorted(select_subset(size, fam_a, fam_b, rng.randint(2, 5))))
+    assert _digest(draws) == (
+        "a1367cb19566eec74b36c2d1b5a0a44d10c63b109b1cc6616ad6ca2cb1dd4061"
     )
