@@ -6,19 +6,26 @@
   serves ``amalgam color --mode bee``; no construction uses it.
 * ``evenly_equitable_coloring``: per-vertex-even k-coloring of an even
   multigraph (loops allowed) with per-vertex color degrees pairwise
-  differing by 0 or 2; the two-class construction colors its fused
-  graph with it. Classes k, k-1, ..., 2 are extracted one at a
-  time, each as a bounded circulation on an Eulerian orientation of the
-  edges not yet colored; class 1 takes what is left. With c classes to
-  go and half-degree h at a vertex, the class taken gets half-degree x
-  in {floor(h/c), ceil(h/c)}, and (h-x)/(c-1) stays in [q, q+1] for
-  q = floor(h/c). So every class ends with degree 2q or 2q+2 at that
-  vertex, and a single pass is exact.
+  differing by 0 or 2 (Hilton, Combinatorica 2, 1982); the two-class
+  construction colors its fused graph with it. Classes k, k-1, ..., 2
+  are extracted one at a time, each as a bounded circulation on an
+  Eulerian orientation of the edges not yet colored; class 1 takes what
+  is left. With c classes to go and half-degree h at a vertex, the class
+  taken gets half-degree x in {floor(h/c), ceil(h/c)}, and (h-x)/(c-1)
+  stays in [q, q+1] for q = floor(h/c). So every class ends with degree
+  2q or 2q+2 at that vertex, and a single pass is exact.
+
+  A fused graph has few vertices and many parallel edges and loops, so
+  a class works on pair multiplicities, not on edges: one arc per
+  oriented vertex pair, its capacity the pair's uncolored edges that
+  way. A class costs O(P + V) for P distinct pairs and V vertices, and
+  the coloring O(k(P + V) + E). A class given f edges of a pair takes
+  the pair's f lowest uncolored edge ids.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 from .euler import euler_circuits
 from .flows import feasible_circulation
@@ -112,31 +119,55 @@ def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
 # Evenly-equitable coloring of even multigraphs
 
 
-def _even_class_split(
-    vertex_count: int, edges: dict[int, tuple[int, int]], divisor: int
-) -> set[int]:
-    """Edge set whose per-vertex degree is even and ~= degree/divisor.
+def _even_class_counts(
+    vertex_count: int, left: dict[tuple[int, int], int], divisor: int
+) -> dict[tuple[int, int], int]:
+    """How many of each pair's ``left`` uncolored edges the next class takes.
 
-    Orients an Eulerian circuit and takes a bounded circulation: the
-    selected arcs give every vertex an even degree equal to twice its
-    throughput, which is quota-bounded. The circulation always exists:
-    sending 1/divisor of a unit along every arc is a fractional one, and
-    the bounds are integers.
+    Orients the uncolored edges so that every vertex has in-degree equal
+    to half its degree: half of a pair's edges each way, each loop v->v,
+    and each pair's odd leftover edge along an Euler circuit of the
+    leftovers (one edge per pair with an odd count, so an even simple
+    graph). One arc per oriented pair, capacity its count, and a vertex
+    arc whose window is [floor(h/divisor), ceil(h/divisor)] for in-degree
+    h. A circulation gives the class 2x edges at a vertex of throughput
+    x. It always exists: 1/divisor of every arc's capacity is a
+    fractional one, and the bounds are integers.
     """
-    if not edges:
-        return set()
-    # node split: v_in = 2v, v_out = 2v+1; edge arcs first, so arc i is steps[i]
-    steps = [step for trail in euler_circuits(vertex_count, edges) for step in trail]
-    indeg = Counter(v for _, _, v in steps)  # in-degree equals degree/2
-    order = sorted(indeg)
-    tails = [2 * u + 1 for _, u, _ in steps] + [2 * v for v in order]
-    heads = [2 * v for _, _, v in steps] + [2 * v + 1 for v in order]
-    lo = [0] * len(steps) + [indeg[v] // divisor for v in order]
-    hi = [1] * len(steps) + [-(-indeg[v] // divisor) for v in order]
+    arcs: dict[tuple[int, int], int] = {}
+    odd: dict[int, tuple[int, int]] = {}  # pair index -> the pair, for its leftover edge
+    for i, ((a, b), t) in enumerate(left.items()):
+        if a == b:
+            if t:
+                arcs[a, a] = t
+            continue
+        if t > 1:
+            arcs[a, b] = arcs[b, a] = t // 2
+        if t % 2:
+            odd[i] = (a, b)
+    for trail in euler_circuits(vertex_count, odd):
+        for _, a, b in trail:
+            arcs[a, b] = arcs.get((a, b), 0) + 1
+    if not arcs:
+        return {}
+    half = [0] * vertex_count
+    for (_, b), t in arcs.items():
+        half[b] += t
+    order = [v for v in range(vertex_count) if half[v]]
+    # node split: v_in = 2v, v_out = 2v+1; pair arcs first, in ``arcs`` order
+    tails = [2 * a + 1 for a, _ in arcs] + [2 * v for v in order]
+    heads = [2 * b for _, b in arcs] + [2 * v + 1 for v in order]
+    lo = [0] * len(arcs) + [half[v] // divisor for v in order]
+    hi = [*arcs.values()] + [-(-half[v] // divisor) for v in order]
     flow = feasible_circulation(2 * vertex_count, tails, heads, lo, hi)
     if flow is None:
         raise RuntimeError("even class split has no circulation; this indicates a bug")
-    return {eid for (eid, _, _), f in zip(steps, flow) if f == 1}
+    take: dict[tuple[int, int], int] = {}
+    for (a, b), f in zip(arcs, flow):
+        if f:
+            pair = (a, b) if a <= b else (b, a)
+            take[pair] = take.get(pair, 0) + f
+    return take
 
 
 def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
@@ -146,14 +177,18 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
     for v, d in enumerate(g.degrees()):
         if d % 2:
             raise ColoringContractError(f"vertex {v} has odd degree {d}")
-    colors = [0] * g.edge_count
-    remaining = {e: g.edges[e] for e in range(g.edge_count)}
+    ids_of: dict[tuple[int, int], list[int]] = defaultdict(list)  # ascending edge ids
+    for e, (a, b) in enumerate(g.edges):
+        ids_of[(a, b) if a <= b else (b, a)].append(e)
+    # a pair's uncolored edges are the last ``left[pair]`` of its ids
+    left = {pair: len(ids) for pair, ids in ids_of.items()}
+    colors = [1] * g.edge_count
     for c in range(k, 1, -1):
-        for e in _even_class_split(g.vertex_count, remaining, c):
-            colors[e] = c
-            del remaining[e]
-    for e in remaining:
-        colors[e] = 1
+        for pair, take in _even_class_counts(g.vertex_count, left, c).items():
+            ids, t = ids_of[pair], left[pair]
+            for e in ids[len(ids) - t : len(ids) - t + take]:
+                colors[e] = c
+            left[pair] = t - take
     coloring = EdgeColoring(k, tuple(colors))
     if not verify_evenly_equitable(g, coloring):
         raise RuntimeError("evenly-equitable coloring failed; this indicates a bug")

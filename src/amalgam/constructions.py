@@ -21,6 +21,7 @@ cross-check for the fused-graph route.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -465,11 +466,9 @@ def _factor_embedding_sigma(
     deg = color_degrees(base, coloring.colors, k)
     max_deg = [max(deg[v][j] for v in range(m)) if m else 0 for j in range(1, k + 1)]
     sizes = [len(ids) for ids in coloring.edge_ids_by_class()[1:]]
-
-    def compatible(j: int, slot: int) -> bool:
-        return max_deg[j] <= r[slot] and 2 * sizes[j] >= r[slot] * (m - n)
-
-    sigma = _assign_classes(k, compatible)
+    # class j fits slot s iff lows[j] <= r[s] <= highs[j]; lows[j] >= 0, so no r < 0 fits
+    highs = [2 * size // (m - n) if m > n else math.inf for size in sizes]
+    sigma = _sweep_classes(max_deg, highs, r)
     if sigma is None:
         violations.append(
             "no class-to-degree assignment satisfies the degree cap "
@@ -479,28 +478,29 @@ def _factor_embedding_sigma(
     return [], sigma
 
 
-def _assign_classes(k: int, compatible) -> list[int] | None:
-    """A bijection class -> degree slot honoring ``compatible``, or None.
+def _sweep_classes(lows: list[int], highs: list, r: Sequence[int]) -> list[int] | None:
+    """A bijection class j -> slot s with lows[j] <= r[s] <= highs[j], or None.
 
-    Augmenting-path bipartite matching, which finds a perfect matching
-    whenever one exists.
+    Each class fits an interval of slots in order of r, so one sweep is
+    exact (Glover, Naval Res. Logist. Q. 14, 1967): take the slots by
+    ascending r and give each the open class whose interval ends first,
+    kept in a heap. A class whose interval has ended can take no later
+    slot, and then no bijection exists. O(k log k), with no recursion.
     """
-    match_of = [-1] * k  # slot -> class
-
-    def augment(j: int, seen: set[int]) -> bool:
-        for s in range(k):
-            if s not in seen and compatible(j, s):
-                seen.add(s)
-                if match_of[s] < 0 or augment(match_of[s], seen):
-                    match_of[s] = j
-                    return True
-        return False
-
-    for j in range(k):
-        if not augment(j, set()):
-            return None
+    k = len(r)
+    by_low = sorted(range(k), key=lows.__getitem__)
+    open_classes: list[tuple] = []  # (interval end, class)
     sigma = [-1] * k
-    for s, j in enumerate(match_of):
+    i = 0
+    for s in sorted(range(k), key=r.__getitem__):
+        while i < k and lows[by_low[i]] <= r[s]:
+            heapq.heappush(open_classes, (highs[by_low[i]], by_low[i]))
+            i += 1
+        if not open_classes:
+            return None
+        high, j = heapq.heappop(open_classes)
+        if high < r[s]:
+            return None
         sigma[j] = s
     return sigma
 
@@ -511,7 +511,7 @@ def embed_factorization(
     """Grow a colored K_m into a factorization of K_{m+n}.
 
     Each base class lands inside a spanning factor whose degree is
-    chosen by an exact compatibility matching.
+    chosen by an exact sweep over the degree slots (``_sweep_classes``).
     """
     _require_simple_complete(base, base_coloring)
     r = tuple(r)

@@ -243,12 +243,11 @@ class _Star:
                 self.cell_slots[(c, new_vertex)] = [(eid, 1) for eid, _ in moved]
                 rest = slots[2 * take :]
             else:
-                moved = slots[:take]
-                parent = self.groups.get(c)
-                for eid, end in moved:
+                for eid, end in slots[:take]:
                     endpoints[eid][end] = new_vertex
-                    if parent is not None:
-                        union(parent, new_vertex, z)
+                parent = self.groups.get(c)
+                if parent is not None:  # every moved slot is now an edge (new_vertex, z)
+                    union(parent, new_vertex, z)
                 rest = slots[take:]
             if rest:
                 self.cell_slots[cell] = rest

@@ -4,7 +4,8 @@ Each oracle recomputes what a library kernel computes, the slow or the
 older way, and shares no state with it: per-vertex counts by a scan of
 every edge, host graphs built pair by pair, a pairwise detachment verifier with float windows, the
 tuple-keyed certificate checker, split state rescanned from scratch, the
-recursive Dinic that routed every arc, and a pairwise laminarity check
+recursive Dinic that routed every arc, the augmenting-path class-to-degree
+matcher, and a pairwise laminarity check
 with the random laminar families it is run on. The library keeps one
 kernel per job; the second way of doing it lives here and only here.
 """
@@ -454,6 +455,36 @@ def _recursive_circulation(num_nodes, arcs):
     if net.max_flow(s, t) != need:
         return None
     return [lo + (hi - lo) - net.cap[a] for a, (_, _, lo, hi) in zip(arc_ids, arcs)]
+
+
+# ---------------------------------------------------------------------------
+# Class-to-degree assignment
+
+
+def recursive_assign_classes(k: int, compatible) -> list[int] | None:
+    """A bijection class -> degree slot honoring ``compatible``, or None.
+
+    Augmenting-path bipartite matching, which finds a perfect matching
+    whenever one exists; it recurses once per class already matched.
+    """
+    match_of = [-1] * k  # slot -> class
+
+    def augment(j: int, seen: set[int]) -> bool:
+        for s in range(k):
+            if s not in seen and compatible(j, s):
+                seen.add(s)
+                if match_of[s] < 0 or augment(match_of[s], seen):
+                    match_of[s] = j
+                    return True
+        return False
+
+    for j in range(k):
+        if not augment(j, set()):
+            return None
+    sigma = [-1] * k
+    for s, j in enumerate(match_of):
+        sigma[j] = s
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from amalgam import (
     verify_bee,
     verify_evenly_equitable,
 )
+import amalgam.coloring as coloring_module
 from amalgam.multigraph import color_degrees
 from tests.conftest import random_bipartite, random_even_graph
+from tests.oracles import color_class_degree
 
 
 def _k33():
@@ -133,6 +135,52 @@ def test_evenly_equitable_random_suite():
         coloring = evenly_equitable_coloring(g, k)
         assert verify_evenly_equitable(g, coloring)
         assert len(coloring.colors) == g.edge_count
+
+
+def _random_heavy_graph(rng: random.Random) -> Multigraph:
+    """Even multigraph with high pair multiplicities, many loops and isolated vertices."""
+    nv = rng.randint(1, 7)
+    live = [v for v in range(nv) if rng.random() < 0.8]  # the rest stay isolated
+    edges: list[tuple[int, int]] = []
+    for i, a in enumerate(live):
+        edges += [(a, a)] * rng.choice((0, 0, 1, rng.randint(2, 40)))
+        for b in live[i + 1 :]:
+            edges += [(a, b)] * rng.choice((0, 1, rng.randint(2, 60)))
+    odd = [v for v, d in enumerate(Multigraph(nv, tuple(edges)).degrees()) if d % 2]
+    edges += zip(odd[::2], odd[1::2])  # an even number of vertices have odd degree
+    rng.shuffle(edges)
+    return Multigraph(nv, tuple(edges))
+
+
+def test_evenly_equitable_on_heavy_multigraphs():
+    rng = random.Random(16)
+    for _ in range(150):
+        g = _random_heavy_graph(rng)
+        top = max(g.degrees()) // 2
+        k = rng.randint(1, top + 4)
+        coloring = evenly_equitable_coloring(g, k)
+        assert verify_evenly_equitable(g, coloring)
+        for v in range(g.vertex_count):  # recounted edge by edge
+            row = [color_class_degree(g, coloring, j, v) for j in range(1, k + 1)]
+            assert all(d % 2 == 0 for d in row) and max(row) - min(row) <= 2
+
+
+def test_evenly_equitable_runs_one_small_circulation_per_class(monkeypatch):
+    # 2 vertices, 40,000 edges, 3 distinct pairs: each class is one circulation
+    # of at most 2P + V arcs, however many parallel edges and loops there are
+    sizes = []
+    solve = coloring_module.feasible_circulation
+
+    def counting(num_nodes, tails, heads, lo, hi):
+        sizes.append(len(tails))
+        return solve(num_nodes, tails, heads, lo, hi)
+
+    monkeypatch.setattr(coloring_module, "feasible_circulation", counting)
+    g = Multigraph(2, ((0, 1),) * 20000 + ((0, 0),) * 10000 + ((1, 1),) * 10000)
+    k = 50
+    assert verify_evenly_equitable(g, evenly_equitable_coloring(g, k))
+    assert len(sizes) == k - 1
+    assert max(sizes) <= 2 * 3 + 2
 
 
 @pytest.mark.slow

@@ -28,8 +28,8 @@ from amalgam import (
     walecki_direct,
 )
 import amalgam.constructions as constructions
-from amalgam.constructions import _assign_classes
-from tests.oracles import components
+from amalgam.constructions import _sweep_classes
+from tests.oracles import components, recursive_assign_classes
 
 
 def roles(cert):
@@ -209,7 +209,7 @@ def test_assign_classes_agrees_with_exhaustive_oracle():
         k = rng.randint(1, 6)
         density = rng.random()
         ok = [[rng.random() < density for _ in range(k)] for _ in range(k)]
-        sigma = _assign_classes(k, lambda j, s: ok[j][s])
+        sigma = recursive_assign_classes(k, lambda j, s: ok[j][s])
         exists = any(
             all(ok[j][perm[j]] for j in range(k))
             for perm in itertools.permutations(range(k))
@@ -218,6 +218,55 @@ def test_assign_classes_agrees_with_exhaustive_oracle():
         if sigma is not None:
             assert sorted(sigma) == list(range(k))
             assert all(ok[j][sigma[j]] for j in range(k))
+
+
+def test_class_sweep_agrees_with_recursive_matcher():
+    # interval instances as the factor embedding makes them: class j fits
+    # slot s iff lows[j] <= r[s] <= highs[j]
+    rng = random.Random(16)
+    found = 0
+    for _ in range(3000):
+        k = rng.randint(1, 7)
+        r = [rng.randint(0, 6) for _ in range(k)]
+        lows = [rng.randint(0, 6) for _ in range(k)]
+        highs = [low + rng.randint(-1, 6) for low in lows]
+        sigma = _sweep_classes(lows, highs, r)
+        oracle = recursive_assign_classes(k, lambda j, s: lows[j] <= r[s] <= highs[j])
+        assert (sigma is None) == (oracle is None)
+        if sigma is not None:
+            found += 1
+            assert sorted(sigma) == list(range(k))
+            assert all(lows[j] <= r[sigma[j]] <= highs[j] for j in range(k))
+    assert 300 < found < 2700  # both verdicts are drawn often
+
+
+def test_embedding_with_999_classes_gets_a_verdict():
+    # a K_2 base whose one edge is in class 1 of 999: the matcher has a
+    # slot per class. Building K_1000 from it is n^3 through detach
+    # (minutes), so only the verdict is checked here.
+    req = DecompositionRequest(
+        "embed-factorization",
+        base_graph=complete_graph(2, 1),
+        base_coloring=EdgeColoring(999, (1,)),
+        extra=998,
+        r=(1,) * 999,
+    )
+    assert check_feasibility(req).feasible
+    tight = DecompositionRequest(
+        "embed-factorization",
+        base_graph=complete_graph(2, 1),
+        base_coloring=EdgeColoring(999, (1,)),
+        extra=998,
+        r=(3,) + (1,) * 997 + (-1,),
+    )
+    assert not check_feasibility(tight).feasible
+
+
+def test_embedding_with_99_classes_certifies():
+    # a 1-factorization of K_100 grown from one edge in class 1 of 99
+    cert = embed_factorization(complete_graph(2, 1), EdgeColoring(99, (1,)), 98, (1,) * 99)
+    assert len(cert.classes) == 99
+    assert certify(cert).passed
 
 
 def test_multipartite_basic():

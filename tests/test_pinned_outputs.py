@@ -91,7 +91,7 @@ def test_pinned_builder_routes():
     shapes = ((3, 3, 2, 1), (2, 3, 3, 1), (1, 4, 2, 1))
     assert [_cert_digest(decompose_two_class(*shape)) for shape in shapes] == [
         "c26bc17f08b4026a93b844f65713303363e60905155a53504bc51bb5c869095b",
-        "f959988d230f58f5d840bdff3da365d573bcfb828d8648645c23a36a733a8635",
+        "e60fe9ec3c8c4df43ed118402fba9030be1c7833f328637c89691a058198a3e4",
         "1049c3eefb42b03b9f1df259051070767d9cbdf3d5799180d87a6b3978c32066",
     ]
     k5 = complete_graph(5, 1)
