@@ -169,8 +169,8 @@ def _two_class_feasibility(n, m, lam, mu, parts) -> FeasibilityReport:
         return FeasibilityReport(["n, m must be >= 1 and lambda, mu >= 0"])
     if parts is not None and len(set(parts)) > 1:
         return FeasibilityReport(["(i) parts must have equal sizes"])
-    # one part, or parts of one vertex, make a complete host, which the size
-    # checks above decide; for lambda = 0 or lambda = mu no test below fires
+    # the fused route fits iff degree // 2 <= floor(mu*n^2*(m-1)/2), solved
+    # for lambda below; n = 1 always fits, and m = 1 is lambda*K_n
     if 1 in (n, m):
         return FeasibilityReport()
     violations = []
@@ -182,7 +182,7 @@ def _two_class_feasibility(n, m, lam, mu, parts) -> FeasibilityReport:
                 "multiple parts with no cross edges: the graph is disconnected"
             )
     elif n == 2 and _two_class_degree(n, m, lam, mu) % 2:
-        # the odd n = 2 host peels one intra-part matching first
+        # the 1-factor takes one loop per fused vertex, so one more lambda fits
         if lam - 1 > 2 * mu * (m - 1):
             violations.append(f"(iii) lambda-1={lam - 1} > 2*mu*(m-1)={2 * mu * (m - 1)}")
     elif lam > mu * n * (m - 1):
@@ -245,6 +245,20 @@ def _rotational_one_factors(n: int) -> list[list[tuple[int, int]]]:
     return factors
 
 
+def _walecki_classes(n: int, lam: int):
+    """``walecki_direct``'s cycles and leave (None if lam*(n-1) is even), uncertified."""
+    if n % 2:
+        return _zigzag_cycles(n) * lam, None
+    f = _rotational_one_factors(n)
+    # Pairing factors (0,1), (2,3), ... leaves f[n-2]; pairing (1,2),
+    # (3,4), ... leaves f[0]. Two copies of K_n take both pairings plus
+    # the cycle f[n-2] + f[0]; an odd copy out keeps f[n-2] as its leave.
+    pairs_a = [f[t] + f[t + 1] for t in range(0, n - 2, 2)]
+    pairs_b = [f[t] + f[t + 1] for t in range(1, n - 2, 2)]
+    cycles = (pairs_a + pairs_b + [f[n - 2] + f[0]]) * (lam // 2) + pairs_a * (lam % 2)
+    return cycles, f[n - 2] if lam % 2 else None
+
+
 def walecki_direct(n: int, lam: int) -> DecompositionCertificate:
     """Rotational Hamiltonian decomposition of the lambda-fold K_n.
 
@@ -253,19 +267,7 @@ def walecki_direct(n: int, lam: int) -> DecompositionCertificate:
     odd (so n is even), one perfect-matching leave.
     """
     _ensure_feasible(_complete_feasibility(n, lam))
-    leave = None
-    if n % 2:
-        cycles = _zigzag_cycles(n) * lam
-    else:
-        f = _rotational_one_factors(n)
-        # Pairing factors (0,1), (2,3), ... leaves f[n-2]; pairing (1,2),
-        # (3,4), ... leaves f[0]. Two copies of K_n take both pairings plus
-        # the cycle f[n-2] + f[0]; an odd copy out keeps f[n-2] as its leave.
-        pairs_a = [f[t] + f[t + 1] for t in range(0, n - 2, 2)]
-        pairs_b = [f[t] + f[t + 1] for t in range(1, n - 2, 2)]
-        cycles = (pairs_a + pairs_b + [f[n - 2] + f[0]]) * (lam // 2) + pairs_a * (lam % 2)
-        if lam % 2:
-            leave = f[n - 2]
+    cycles, leave = _walecki_classes(n, lam)
     claims = tuple(ClassClaim(ROLE_HAMILTONIAN, tuple(c)) for c in cycles)
     if leave is not None:
         claims += (ClassClaim(ROLE_ONE_FACTOR, tuple(leave)),)
@@ -575,30 +577,28 @@ def _two_class_coloring(
     """The fused m-vertex graph behind a two-class decomposition.
 
     Pair multiplicities mu*n^2, lambda*C(n,2) loops per vertex. Classes
-    1..k (k = degree // 2) each get one spanning cycle of the cross edges
-    plus an evenly equitable share of the remainder. For odd degree,
-    class k+1 is the 1-factor: floor(n/2) reserved loops per vertex and,
-    when n is odd, the cross leave.
+    1..k (k = degree // 2) each get one cross cycle of ``_walecki_classes``
+    (mu*n^2-fold K_m) plus an evenly equitable share of the remainder. For
+    odd degree, class k+1 is the 1-factor: floor(n/2) reserved loops per
+    vertex and, when n is odd, the cross leave. mu = 0 builds no cross block.
     """
     k, odd = divmod(degree, 2)
     reserved_loops = odd * (n // 2)
     leave_from_cross = bool(odd and n % 2)
     edges: list[tuple[int, int]] = []
     pair_ids: dict[tuple[int, int], deque[int]] = {}
-    for p in range(m):
-        for q in range(p + 1, m):
-            pair_ids[(p, q)] = deque(range(len(edges), len(edges) + mu * n * n))
-            edges += [(p, q)] * (mu * n * n)
+    cycles, cross_leave = [], None
+    if mu:
+        for p in range(m):
+            for q in range(p + 1, m):
+                pair_ids[(p, q)] = deque(range(len(edges), len(edges) + mu * n * n))
+                edges += [(p, q)] * (mu * n * n)
+        cycles, cross_leave = _walecki_classes(m, mu * n * n)
     loop_ids = []
     for p in range(m):
         loop_ids.append(list(range(len(edges), len(edges) + lam * math.comb(n, 2))))
         edges += [(p, p)] * (lam * math.comb(n, 2))
 
-    cross = walecki_direct(m, mu * n * n)
-    cycles = [c.edges for c in cross.classes if c.role == ROLE_HAMILTONIAN]
-    cross_leave = next(
-        (c.edges for c in cross.classes if c.role == ROLE_ONE_FACTOR), None
-    )
     if len(cycles) < k or (leave_from_cross and cross_leave is None):
         raise RuntimeError("not enough spanning cycles in the fused graph (bug)")
 
@@ -636,18 +636,17 @@ def _two_class_coloring(
 def _two_class_claims(n: int, m: int, lam: int, mu: int, degree: int) -> tuple[ClassClaim, ...]:
     """Claims of a feasible two-multiplicity host of the given degree.
 
-    Shapes whose host is complete or multipartite are built as such.
+    All shapes take the fused route but two. One part (m = 1) has no cross
+    edges for the spanning cycles: lambda*K_n is one loop vertex detached
+    to n (Hilton, JCTB 36, 1984), and an edgeless host has no classes. With
+    lambda = 0, n > 1 and odd degree, the 1-factor needs n // 2 loops per
+    fused vertex and there are none, so the multipartite host is built.
     """
     r, roles = _hamiltonian_classes(degree)
-    if 1 in (n, m) or lam == mu:
+    if m == 1 or not r:
         return _complete_classes(n * m, r, roles)
-    if lam == 0:
+    if lam == 0 and n > 1 and degree % 2:
         return _multipartite_classes(n, m, r, roles)
-    if degree % 2 and n == 2:
-        # peel one intra-part matching; the remainder has even degree
-        matching = tuple((2 * p, 2 * p + 1) for p in range(m))
-        inner = _two_class_claims(2, m, lam - 1, mu, degree - 1)
-        return inner + (ClassClaim(ROLE_ONE_FACTOR, matching),)
     h, coloring = _two_class_coloring(n, m, lam, mu, degree)
     return _detached_claims(h, coloring, [n] * m, r, roles)
 

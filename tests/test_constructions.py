@@ -339,16 +339,16 @@ def test_two_class_odd_infeasible_n2():
 
 
 def test_two_class_degenerate_redirects():
-    # one part: plain complete-graph decomposition on the same host
+    # one part: lambda*K_n, built as one loop vertex
     cert = decompose_two_class(5, 1, 2, 0)
     assert certify(cert).passed
-    # singleton parts: complete graph on m vertices with multiplicity mu
+    # singleton parts: mu*K_m, fused with one copy per fused vertex
     cert = decompose_two_class(1, 5, 0, 1)
     assert certify(cert).passed
-    # equal multiplicities: complete graph on n*m vertices
+    # equal multiplicities: lambda*K_{nm}, fused
     cert = decompose_two_class(2, 2, 2, 2)
     assert certify(cert).passed
-    # lambda = 0: multipartite
+    # lambda = 0 with even degree: a multipartite host, fused
     cert = decompose_two_class(2, 3, 0, 1)
     assert certify(cert).passed
     # mu = 0 with several parts: disconnected, infeasible
@@ -376,31 +376,42 @@ def test_check_feasibility_example_grid():
 
 
 def test_supply_inequality_holds_on_feasible_grid():
-    # the spanning cycles available in the fused cross graph (floor of
-    # mu*n^2*(m-1)/2) must cover the demanded class count as integers
-    for n in range(2, 5):
-        for m in range(2, 5):
-            for lam in range(1, 4):
-                for mu in range(1, 4):
-                    if lam == mu:
-                        continue
+    # with several parts, a shape is feasible iff the spanning cycles of the
+    # fused cross graph, floor(mu*n^2*(m-1)/2), cover the degree // 2 classes
+    for n in range(1, 9):
+        for m in range(2, 9):
+            for lam in range(12):
+                for mu in range(6):
                     req = DecompositionRequest("two-class", n=n, m=m, lam=lam, mu=mu)
-                    if not check_feasibility(req).feasible:
-                        continue
                     degree = lam * (n - 1) + mu * n * (m - 1)
-                    k = degree // 2
-                    supply = (mu * n * n * (m - 1)) // 2
-                    assert supply >= k
+                    supply = mu * n * n * (m - 1) // 2
+                    assert check_feasibility(req).feasible == (degree // 2 <= supply), (
+                        n, m, lam, mu
+                    )
+
+
+def test_two_class_without_cross_edges_builds_no_cross_cycles(monkeypatch):
+    # mu = 0 leaves nothing for _walecki_classes, so the fused build skips it
+    # and its O(m^2) cross block
+    def no_cross_cycles(n, lam):
+        raise AssertionError("cross cycles built for a host without cross edges")
+
+    monkeypatch.setattr(constructions, "_walecki_classes", no_cross_cycles)
+    cert = decompose_two_class(2, 300, 1, 0)
+    assert roles(cert) == [ROLE_ONE_FACTOR]
+    assert certify(cert).passed
 
 
 @pytest.mark.parametrize(
     "shape, calls",
     [
-        ((3, 1, 1, 2), 1),  # one part: complete host
-        ((1, 4, 2, 1), 1),  # singleton parts: complete host
-        ((2, 3, 1, 1), 1),  # equal multiplicities: complete host
-        ((2, 3, 1, 2), 1),  # odd, n = 2: matching peeled, remainder multipartite
-        ((2, 3, 3, 1), 2),  # also walecki_direct's check of the fused cross graph
+        ((3, 1, 1, 2), 1),  # one part: lambda*K_n as one loop vertex
+        ((1, 4, 2, 1), 1),  # singleton parts: fused
+        ((2, 3, 1, 1), 1),  # equal multiplicities: fused
+        ((2, 3, 1, 2), 1),  # odd, n = 2: fused, one loop per vertex in the 1-factor
+        ((2, 3, 3, 1), 1),  # fused; its cross cycles are not certified on their own
+        ((2, 3, 5, 1), 1),  # odd, n = 2 at the bound lambda = 2*mu*(m-1) + 1
+        ((3, 2, 0, 1), 1),  # lambda = 0, odd degree: multipartite host
     ],
 )
 def test_two_class_builders_certify_once(monkeypatch, shape, calls):

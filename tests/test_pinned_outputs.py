@@ -88,11 +88,16 @@ def test_pinned_builder_routes():
     assert _cert_digest(factorize_multipartite(2, 3, 1, (2, 2))) == (
         "09b267405c30ca24fb508f75d78ea3e85f797e707abf2b68726c06638e226870"
     )
-    shapes = ((3, 3, 2, 1), (2, 3, 3, 1), (1, 4, 2, 1))
+    # fused: even degree, odd n = 2, one-vertex parts, lambda = mu; then the two
+    # other routes, one part and lambda = 0 with odd degree
+    shapes = ((3, 3, 2, 1), (2, 3, 3, 1), (1, 4, 2, 1), (2, 2, 2, 2), (5, 1, 2, 0), (3, 2, 0, 1))
     assert [_cert_digest(decompose_two_class(*shape)) for shape in shapes] == [
         "c26bc17f08b4026a93b844f65713303363e60905155a53504bc51bb5c869095b",
         "e60fe9ec3c8c4df43ed118402fba9030be1c7833f328637c89691a058198a3e4",
-        "1049c3eefb42b03b9f1df259051070767d9cbdf3d5799180d87a6b3978c32066",
+        "d33004222a9cedd02a6aa49d3975a400ae1cabc8053d3f300620c8fd8ba3e20f",
+        "6db890dd15508246066edf84760b28dccd93a307f5d92ab926a6361c5f57d6be",
+        "96f1c5f12115e1a2e7704546f4f91771d593934998e8d0967d2c01a3297c0c74",
+        "d7c0bdb012faa19d791f00307eaeff74f54c1c1dcb8dc3b684b4ea6934d237e4",
     ]
     k5 = complete_graph(5, 1)
     by_pair = {
