@@ -20,6 +20,7 @@ from .multigraph import (
     graph_from_json,
     graph_to_json,
     json_int,
+    json_pairs,
     pair_keys,
     two_class_graph,
     union,
@@ -209,14 +210,16 @@ def certificate_from_json(obj: Mapping) -> DecompositionCertificate:
         classes = tuple(
             ClassClaim(
                 role=_json_str(c["role"]),
-                edges=tuple((json_int(a), json_int(b)) for a, b in c["edges"]),
+                edges=json_pairs(c["edges"]),
                 r=json_int(c["r"]) if "r" in c else None,
             )
             for c in obj["classes"]
         )
         parts = None
         if "parts" in obj and obj["parts"] is not None:
-            parts = tuple(tuple(json_int(v) for v in p) for p in obj["parts"])
+            parts = tuple(
+                tuple([v if type(v) is int else json_int(v) for v in p]) for p in obj["parts"]
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphUsageError(f"malformed certificate JSON: {exc}") from exc
     return DecompositionCertificate(host, classes, parts)

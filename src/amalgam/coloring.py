@@ -7,13 +7,14 @@
 * ``evenly_equitable_coloring``: per-vertex-even k-coloring of an even
   multigraph (loops allowed) with per-vertex color degrees pairwise
   differing by 0 or 2 (Hilton, Combinatorica 2, 1982); the two-class
-  construction colors its fused graph with it. Classes k, k-1, ..., 2
-  are extracted one at a time, each as a bounded circulation on an
-  Eulerian orientation of the edges not yet colored; class 1 takes what
-  is left. With c classes to go and half-degree h at a vertex, the class
-  taken gets half-degree x in {floor(h/c), ceil(h/c)}, and (h-x)/(c-1)
-  stays in [q, q+1] for q = floor(h/c). So every class ends with degree
-  2q or 2q+2 at that vertex, and a single pass is exact.
+  construction colors its fused graph with it, and it serves ``amalgam
+  color --mode even``. Classes k, k-1, ..., 2 are extracted one at a
+  time, each as a bounded circulation on an Eulerian orientation of the
+  edges not yet colored, from the engine's own Euler walk; class 1 takes
+  what is left. With c classes to go and half-degree h at a vertex,
+  the class taken gets half-degree x in {floor(h/c), ceil(h/c)}, and
+  (h-x)/(c-1) stays in [q, q+1] for q = floor(h/c). So every class ends
+  with degree 2q or 2q+2 at that vertex, and a single pass is exact.
 
   A fused graph has few vertices and many parallel edges and loops, so
   a class works on pair multiplicities, not on edges: one arc per
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .euler import euler_circuits
 from .flows import feasible_circulation
 from .laminar import LaminarFamily, select_subset
 from .multigraph import EdgeColoring, GraphUsageError, Multigraph, color_degrees
@@ -121,7 +121,7 @@ def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
 
 def _even_class_counts(
     vertex_count: int, left: dict[tuple[int, int], int], divisor: int
-) -> dict[tuple[int, int], int]:
+) -> dict[tuple[int, int], int] | None:
     """How many of each pair's ``left`` uncolored edges the next class takes.
 
     Orients the uncolored edges so that every vertex has in-degree equal
@@ -132,10 +132,10 @@ def _even_class_counts(
     arc whose window is [floor(h/divisor), ceil(h/divisor)] for in-degree
     h. A circulation gives the class 2x edges at a vertex of throughput
     x. It always exists: 1/divisor of every arc's capacity is a
-    fractional one, and the bounds are integers.
+    fractional one, and the bounds are integers (None would be a bug).
     """
     arcs: dict[tuple[int, int], int] = {}
-    odd: dict[int, tuple[int, int]] = {}  # pair index -> the pair, for its leftover edge
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]  # (pair index, other end)
     for i, ((a, b), t) in enumerate(left.items()):
         if a == b:
             if t:
@@ -144,9 +144,26 @@ def _even_class_counts(
         if t > 1:
             arcs[a, b] = arcs[b, a] = t // 2
         if t % 2:
-            odd[i] = (a, b)
-    for trail in euler_circuits(vertex_count, odd):
-        for _, a, b in trail:
+            adj[a].append((i, b))
+            adj[b].append((i, a))
+    # Hierholzer's walk from each start vertex in turn, backing up when stuck.
+    # A step is recorded as it is popped, and each circuit's steps then enter
+    # ``arcs`` in walk order, which is the circulation's arc order.
+    used = [False] * len(left)
+    unread = [iter(out) for out in adj]
+    for start in range(vertex_count):
+        stack, popped = [(start, start)], []
+        while stack:
+            v = stack[-1][1]
+            for i, w in unread[v]:
+                if not used[i]:
+                    used[i] = True
+                    stack.append((v, w))
+                    break
+            else:
+                popped.append(stack.pop())
+        popped.pop()  # the start's own (start, start)
+        for a, b in reversed(popped):
             arcs[a, b] = arcs.get((a, b), 0) + 1
     if not arcs:
         return {}
@@ -161,7 +178,7 @@ def _even_class_counts(
     hi = [*arcs.values()] + [-(-half[v] // divisor) for v in order]
     flow = feasible_circulation(2 * vertex_count, tails, heads, lo, hi)
     if flow is None:
-        raise RuntimeError("even class split has no circulation; this indicates a bug")
+        return None
     take: dict[tuple[int, int], int] = {}
     for (a, b), f in zip(arcs, flow):
         if f:
@@ -184,7 +201,10 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
     left = {pair: len(ids) for pair, ids in ids_of.items()}
     colors = [1] * g.edge_count
     for c in range(k, 1, -1):
-        for pair, take in _even_class_counts(g.vertex_count, left, c).items():
+        counts = _even_class_counts(g.vertex_count, left, c)
+        if counts is None:
+            raise RuntimeError(f"evenly-equitable class {c} of k={k} has no circulation (bug)")
+        for pair, take in counts.items():
             ids, t = ids_of[pair], left[pair]
             for e in ids[len(ids) - t : len(ids) - t + take]:
                 colors[e] = c

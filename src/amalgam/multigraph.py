@@ -158,10 +158,18 @@ def json_int(x) -> int:
     return x
 
 
+def json_pairs(items) -> tuple[tuple[int, int], ...]:
+    """Each [a, b] of a JSON list as an int pair, with ``json_int``'s errors."""
+    return tuple([
+        (a, b) if type(a) is int and type(b) is int else (json_int(a), json_int(b))
+        for a, b in items
+    ])
+
+
 def graph_from_json(obj: Mapping) -> Multigraph:
     try:
         vertices = json_int(obj["vertices"])
-        edges = tuple((json_int(a), json_int(b)) for a, b in obj["edges"])
+        edges = json_pairs(obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphUsageError(f"malformed graph JSON: {exc}") from exc
     return Multigraph(vertices, edges)
@@ -173,7 +181,8 @@ def coloring_to_json(c: EdgeColoring) -> dict:
 
 def coloring_from_json(obj: Mapping) -> EdgeColoring:
     try:
-        return EdgeColoring(json_int(obj["k"]), tuple(json_int(c) for c in obj["colors"]))
+        k = json_int(obj["k"])
+        return EdgeColoring(k, tuple([c if type(c) is int else json_int(c) for c in obj["colors"]]))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphUsageError(f"malformed coloring JSON: {exc}") from exc
 

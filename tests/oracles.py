@@ -5,7 +5,7 @@ older way, and shares no state with it: per-vertex counts by a scan of
 every edge, host graphs built pair by pair, a pairwise detachment verifier with float windows, the
 tuple-keyed certificate checker, split state rescanned from scratch, the
 recursive Dinic that routed every arc, the augmenting-path class-to-degree
-matcher, and a pairwise laminarity check
+matcher, the loop-aware Euler circuit routine, and a pairwise laminarity check
 with the random laminar families it is run on. The library keeps one
 kernel per job; the second way of doing it lives here and only here.
 """
@@ -485,6 +485,71 @@ def recursive_assign_classes(k: int, compatible) -> list[int] | None:
     for s, j in enumerate(match_of):
         sigma[j] = s
     return sigma
+
+
+# ---------------------------------------------------------------------------
+# Euler circuits of even multigraphs, loop-aware: a loop is one step that
+# leaves and re-enters its vertex
+
+
+def euler_circuits(
+    vertex_count: int, edges: dict[int, tuple[int, int]]
+) -> list[list[tuple[int, int, int]]]:
+    """Closed trails covering the given edges, one per non-trivial component.
+
+    ``edges`` maps edge id -> endpoints. Each circuit is a list of steps
+    (edge_id, from_vertex, to_vertex) with consecutive steps sharing a
+    vertex. Adjacency lists are built in ascending edge-id order, so the
+    traversal is a function of the input alone.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    degree = [0] * vertex_count
+    for eid in sorted(edges):
+        a, b = edges[eid]
+        if a == b:
+            adj[a].append((eid, a))  # single traversal entry for a loop
+            degree[a] += 2
+        else:
+            adj[a].append((eid, b))
+            adj[b].append((eid, a))
+            degree[a] += 1
+            degree[b] += 1
+    for v in range(vertex_count):
+        if degree[v] % 2:
+            raise ValueError(f"vertex {v} has odd degree {degree[v]}")
+
+    used: set[int] = set()
+    ptr = [0] * vertex_count
+    circuits = []
+    for start in range(vertex_count):
+        if not adj[start]:
+            continue
+        if all(eid in used for eid, _ in adj[start]):
+            continue
+        stack: list[tuple[int, tuple[int, int, int] | None]] = [(start, None)]
+        trail_rev: list[tuple[int, int, int]] = []
+        while stack:
+            v, arrival = stack[-1]
+            nxt = None
+            while ptr[v] < len(adj[v]):
+                eid, w = adj[v][ptr[v]]
+                if eid in used:
+                    ptr[v] += 1
+                    continue
+                used.add(eid)
+                ptr[v] += 1
+                nxt = (eid, v, w)
+                break
+            if nxt is not None:
+                stack.append((nxt[2], nxt))
+            else:
+                stack.pop()
+                if arrival is not None:
+                    trail_rev.append(arrival)
+        trail = trail_rev[::-1]
+        if trail:
+            circuits.append(trail)
+    return circuits
 
 
 # ---------------------------------------------------------------------------

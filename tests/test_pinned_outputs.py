@@ -161,3 +161,32 @@ def test_pinned_large_networks_and_other_circulation_callers():
     assert _digest(draws) == (
         "a1367cb19566eec74b36c2d1b5a0a44d10c63b109b1cc6616ad6ca2cb1dd4061"
     )
+
+
+def _even_draw(rng):
+    """An even multigraph on 1-7 vertices and k in 2..8: one or two blocks of
+    vertices, each with cycles of odd multiplicity and pairs (or loops) of
+    even multiplicity inside it."""
+    nv = rng.randint(1, 7)
+    vs = rng.sample(range(nv), nv)
+    cut = rng.randint(0, nv)
+    edges = []
+    for block in (vs[:cut], vs[cut:]):
+        for _ in range(rng.randint(0, 3) if len(block) >= 3 else 0):
+            cycle = rng.sample(block, rng.randint(3, len(block)))
+            edges += list(zip(cycle, cycle[1:] + cycle[:1])) * rng.choice((1, 3, 5))
+        for _ in range(rng.randint(0, 2) if block else 0):
+            edges += [(rng.choice(block), rng.choice(block))] * rng.choice((2, 4))
+    rng.shuffle(edges)
+    return Multigraph(nv, tuple(edges)), rng.randint(2, 8)
+
+
+def test_pinned_evenly_equitable_colorings():
+    # a third of the draws have several components; the odd leftovers of a
+    # class are oriented along Euler circuits, and adding a circuit's steps in
+    # any order but the walk's changes five of these colorings
+    rng = random.Random(10)
+    colorings = [evenly_equitable_coloring(*_even_draw(rng)).colors for _ in range(1000)]
+    assert _digest(colorings) == (
+        "d3e849f2e818f8102b4984270e29b16ba464decbe50f7f3a0c8708f45cbe1b0d"
+    )
