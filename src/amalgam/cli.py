@@ -238,7 +238,7 @@ def _cmd_decompose(args) -> int:
         cert = decompose_two_class(args.n, args.m, args.lam, args.mu)
     elif args.target == "factorize":
         r = _parse_ints(args.r)
-        if args.m > 1:
+        if args.m != 1:  # factorize_multipartite reports m < 1
             cert = factorize_multipartite(args.n, args.m, args.lam, r)
         else:
             cert = factorize_complete(args.n, args.lam, r)

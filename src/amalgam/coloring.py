@@ -60,7 +60,8 @@ def bee_coloring(g: Multigraph, left: set[int], k: int) -> EdgeColoring:
     _check_bipartite(g, left)
     colors = [0] * g.edge_count
     remaining = list(range(g.edge_count))  # ascending EdgeId order breaks ties
-    for c in range(1, k + 1):
+    # while more classes are left than edges, every quota is [0, 1] and a class takes none
+    for c in range(max(1, k - g.edge_count + 1), k + 1):
         classes_left = k - c + 1
         if classes_left == 1:
             for e in remaining:
@@ -191,7 +192,8 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
     """Evenly-equitable k-edge-coloring of an even multigraph (loops allowed)."""
     if k < 1:
         raise GraphUsageError("k must be >= 1")
-    for v, d in enumerate(g.degrees()):
+    degrees = g.degrees()
+    for v, d in enumerate(degrees):
         if d % 2:
             raise ColoringContractError(f"vertex {v} has odd degree {d}")
     ids_of: dict[tuple[int, int], list[int]] = defaultdict(list)  # ascending edge ids
@@ -200,7 +202,8 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
     # a pair's uncolored edges are the last ``left[pair]`` of its ids
     left = {pair: len(ids) for pair, ids in ids_of.items()}
     colors = [1] * g.edge_count
-    for c in range(k, 1, -1):
+    # a class c above every half-degree has windows [0, 1] only and takes nothing
+    for c in range(min(k, max(degrees, default=0) // 2), 1, -1):
         counts = _even_class_counts(g.vertex_count, left, c)
         if counts is None:
             raise RuntimeError(f"evenly-equitable class {c} of k={k} has no circulation (bug)")

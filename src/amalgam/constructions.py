@@ -364,8 +364,7 @@ def _require_simple_complete(base: Multigraph, coloring: EdgeColoring) -> None:
 
 
 def _class_is_acyclic(base: Multigraph, edge_ids: list[int]) -> bool:
-    parent: dict[int, int] = {}
-    return all(union(parent, *base.edges[e]) for e in edge_ids)
+    return union({}, [base.edges[e] for e in edge_ids]) == len(edge_ids)
 
 
 def _path_embedding_violations(

@@ -115,14 +115,8 @@ def edge_component_count(edges) -> int:
     Only vertices incident to at least one edge participate; a loop
     counts its vertex as incident. An empty list has zero components.
     """
-    parent: dict[int, int] = {}
-    seen: set[int] = set()
-    merges = 0
-    for a, b in edges:
-        seen.add(a)
-        seen.add(b)
-        merges += union(parent, a, b)
-    return len(seen) - merges
+    edges = list(edges)  # read twice, so a generator is read into a list first
+    return len({v for pair in edges for v in pair}) - union({}, edges)
 
 
 def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> list[int]:
@@ -211,23 +205,17 @@ class _Star:
                 slots = [(eid, 0)] if a == u else [(eid, 1)]
                 cell = (colors[eid], b if a == u else a)
             self.cell_slots.setdefault(cell, []).extend(slots)
-        self.groups: dict[int, dict[int, int]] = {}
         at_u = {c for c, _ in self.cell_slots}
-        for j, eids in class_edges.items():
-            if j not in at_u:
-                continue
-            parent: dict[int, int] = {}
-            for eid in eids:
-                a, b = endpoints[eid]
-                if a != u and b != u:
-                    union(parent, a, b)
-            self.groups[j] = parent
+        self.groups: dict[int, dict[int, int]] = {j: {} for j in class_edges if j in at_u}
+        for j, parent in self.groups.items():
+            union(parent, [endpoints[eid] for eid in class_edges[j] if u not in endpoints[eid]])
 
     def split(self, delta: int, new_vertex: int) -> None:
         """Move a quota share of u's endpoint slots onto ``new_vertex``."""
         if not self.cell_slots:
             return  # isolated vertex splits into isolated vertices
         endpoints = self.endpoints
+        joined: dict[int, list[tuple[int, int]]] = {}  # qualifying color -> moved edges
         # a cell's slots are parallel edges of one color, so which of them move
         # only permutes edge ids and never changes a later split
         for cell, take in _split_counts(self, delta).items():
@@ -245,14 +233,15 @@ class _Star:
             else:
                 for eid, end in slots[:take]:
                     endpoints[eid][end] = new_vertex
-                parent = self.groups.get(c)
-                if parent is not None:  # every moved slot is now an edge (new_vertex, z)
-                    union(parent, new_vertex, z)
+                if c in self.groups:  # every moved slot is now an edge (new_vertex, z)
+                    joined.setdefault(c, []).append((new_vertex, z))
                 rest = slots[take:]
             if rest:
                 self.cell_slots[cell] = rest
             else:
                 del self.cell_slots[cell]
+        for c, pairs in joined.items():
+            union(self.groups[c], pairs)
 
 
 def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:

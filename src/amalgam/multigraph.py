@@ -120,27 +120,32 @@ def pair_keys(edges: Iterable[tuple[int, int]], n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The union-find kernel: a dict over the vertices that edges touch
+# The union-find kernel: a dict over the vertices that edges touch, merged a
+# whole edge list at a time, with path halving in every walk to a root
 
 
 def find(parent: dict[int, int], x: int) -> int:
-    """Root of x in a union-find whose dict maps only non-roots to their parents."""
-    root = x
-    while root in parent:
-        root = parent[root]
-    while x != root:
-        parent[x], x = root, parent[x]
-    return root
+    """Root of x in a union-find whose dict maps only non-roots to their parents.
+
+    Each node it passes is repointed to its grandparent (path halving).
+    """
+    while x in parent:
+        p = parent[x]
+        if p in parent:
+            parent[x] = p = parent[p]
+        x = p
+    return x
 
 
-def union(parent: dict[int, int], a: int, b: int) -> bool:
-    """Merge the sets of a and b; False if they were already one set."""
-    ra = find(parent, a) if a in parent else a
-    rb = find(parent, b) if b in parent else b
-    if ra == rb:
-        return False
-    parent[ra] = rb
-    return True
+def union(parent: dict[int, int], pairs: Iterable[tuple[int, int]]) -> int:
+    """Merge the sets of each pair's two ends; the number of merges made."""
+    merges = 0
+    for a, b in pairs:
+        a, b = find(parent, a), find(parent, b)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from amalgam import (
 )
 from amalgam.certify import CertifyReport, ClassVerdict
 from amalgam.detachment import _LOOP, edge_component_count
-from amalgam.multigraph import color_degrees, union
+from amalgam.multigraph import color_degrees
 
 # ---------------------------------------------------------------------------
 # Per-vertex and per-pair counts, each a scan of every edge
@@ -302,8 +302,8 @@ def _rescanned_split_state(endpoints, colors, u, quals):
 def _reference_certify(cert):
     """Oracle: certify as it was before it keyed pairs by ints.
 
-    It compares ``Counter``s of (min, max) tuples and builds a union-find
-    for every class, whatever its role.
+    It compares ``Counter``s of (min, max) tuples and checks a Hamiltonian
+    class's connectivity with the dense union-find.
     """
     report = CertifyReport()
     s = cert.host.vertex_count
@@ -335,17 +335,15 @@ def _reference_certify(cert):
 
 def _reference_class(idx, claim, s, part_of):
     deg = [0] * s
-    parent = {}
-    merges = 0
     for a, b in claim.edges:
         deg[a] += 1
         deg[b] += 1
-        merges += union(parent, a, b)
     role = claim.role
     if role in (ROLE_HAMILTONIAN, ROLE_FAIR_HAMILTONIAN):
         if not all(d == 2 for d in deg):
             return ClassVerdict(idx, role, False, "not 2-regular spanning")
-        if merges != s - 1:
+        root = _dense_roots(s, claim.edges)
+        if len({root(v) for v in range(s)}) != 1:
             return ClassVerdict(idx, role, False, "not connected")
         if role == ROLE_FAIR_HAMILTONIAN:
             if part_of is None:

@@ -47,6 +47,19 @@ def test_usage_error_exit_64(capsys):
     assert run(["decompose", "factorize", "--n", "4", "--lambda", "1", "--r", "x"]) == 64
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_factorize_with_fewer_than_one_part_is_infeasible(capsys, m):
+    # every m other than 1 goes to the multipartite builder, which reports m < 1
+    argv = ["decompose", "factorize", "--n", "4", "--lambda", "1", "--r", "1,2"]
+    code, out = run_cli(capsys, *argv, "--m", m)
+    assert code == 2
+    assert json.loads(out) == {"feasible": False, "violations": ["n must be >= 1 and lambda >= 0"]}
+    code, out = run_cli(capsys, *argv, "--m", "1")  # one part is the complete host K_4
+    assert code == 0
+    obj = json.loads(out)
+    assert "parts" not in obj and len(obj["host"]["edges"]) == 6
+
+
 def test_verify_round_trip(tmp_path, capsys):
     code, out = run_cli(capsys, "decompose", "complete", "--n", "6", "--lambda", "1")
     assert code == 0

@@ -224,6 +224,49 @@ def test_evenly_equitable_failure_names_its_class(monkeypatch):
         evenly_equitable_coloring(g, 3)
 
 
+def test_classes_that_take_nothing_solve_nothing(monkeypatch):
+    # at k = 2,000 a class above every half-degree, or with more classes left
+    # than edges, is empty; only the others solve a circulation or a selection
+    calls = Counter()
+    solve, select = coloring_module.feasible_circulation, coloring_module.select_subset
+
+    def counting_solve(*args):
+        calls["circulation"] += 1
+        return solve(*args)
+
+    def counting_select(*args):
+        calls["select"] += 1
+        return select(*args)
+
+    monkeypatch.setattr(coloring_module, "feasible_circulation", counting_solve)
+    monkeypatch.setattr(coloring_module, "select_subset", counting_select)
+    k = 2000
+    g = Multigraph(3, ((0, 1), (1, 2), (0, 2)) * 3)  # half-degree 3: classes 3 and 2 solve
+    assert verify_evenly_equitable(g, evenly_equitable_coloring(g, k))
+    g, left = Multigraph(5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))), {0, 1}
+    assert verify_bee(g, left, bee_coloring(g, left, k))  # classes k-5..k-1 select
+    assert calls == {"circulation": 2, "select": 5}
+
+
+def test_empty_classes_leave_the_others_as_they_were():
+    # every class past the edges or the half-degrees is empty, so a larger k
+    # only renumbers (bee) or keeps (even) the classes that take edges
+    rng = random.Random(2012)
+    for _ in range(150):
+        g, left = random_bipartite(rng)
+        if not 0 < g.edge_count <= 30:
+            continue
+        base = bee_coloring(g, left, g.edge_count).colors
+        k = g.edge_count + rng.randint(1, 40)
+        shift = k - g.edge_count
+        assert bee_coloring(g, left, k).colors == tuple(c + shift for c in base)
+    for _ in range(300):
+        g = random_even_graph(rng)
+        top = max(g.degrees()) // 2
+        k = top + rng.randint(1, 40)
+        assert evenly_equitable_coloring(g, k).colors == evenly_equitable_coloring(g, top).colors
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("k", [2, 3])
 def test_bee_long_tripled_path(k):

@@ -138,6 +138,7 @@ def test_edge_component_count_edge_induced():
     assert edge_component_count([(0, 1), (2, 3)]) == 2
     assert edge_component_count([(0, 1), (1, 2)]) == 1
     assert edge_component_count([(4, 4)]) == 1  # a loop touches its vertex
+    assert edge_component_count(pair for pair in [(0, 1), (2, 3), (1, 2)]) == 1
 
 
 def test_reamalgamation_recovers_h():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from amalgam.flows import Dinic, feasible_circulation
+from amalgam.flows import _max_flow, feasible_circulation
 from tests.oracles import _RecursiveDinic, _recursive_circulation
 
 
@@ -13,21 +13,38 @@ def _circulation(num_nodes, arcs):
     return feasible_circulation(num_nodes, tails, heads, lo, hi)
 
 
+def _network(n, arcs):
+    """``_max_flow``'s arrays, filled arc by arc from (u, v, cap) triples."""
+    head, to, cap = [[] for _ in range(n)], [], []
+    for u, v, c in arcs:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, 0)
+    return head, to, cap
+
+
+UNBOUNDED = 1 << 60  # a need no network here meets: run until t is cut off
+
+
 def test_max_flow_simple_path():
-    net = Dinic(3)
-    net.add_arc(0, 1, 5)
-    net.add_arc(1, 2, 3)
-    assert net.max_flow(0, 2) == 3
+    assert _max_flow(*_network(3, [(0, 1, 5), (1, 2, 3)]), 0, 2, UNBOUNDED) == 3
 
 
 def test_max_flow_classic_diamond():
-    net = Dinic(4)
-    net.add_arc(0, 1, 10)
-    net.add_arc(0, 2, 10)
-    net.add_arc(1, 3, 10)
-    net.add_arc(2, 3, 10)
-    net.add_arc(1, 2, 1)
-    assert net.max_flow(0, 3) == 20
+    arcs = [(0, 1, 10), (0, 2, 10), (1, 3, 10), (2, 3, 10), (1, 2, 1)]
+    assert _max_flow(*_network(4, arcs), 0, 3, UNBOUNDED) == 20
+
+
+def test_max_flow_stops_once_need_is_routed():
+    # the first phase routes 0-1-3; the longer path 0-2-4-3 needs a second phase
+    arcs = [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 4, 1), (4, 3, 1)]
+    assert _max_flow(*_network(5, arcs), 0, 3, UNBOUNDED) == 2
+    head, to, cap = _network(5, arcs)
+    assert _max_flow(head, to, cap, 0, 3, 1) == 1
+    assert cap[::2] == [0, 0, 1, 1, 1]
+    assert _max_flow(head, to, cap, 0, 3, 0) == 0
+    assert cap[::2] == [0, 0, 1, 1, 1]
 
 
 def test_circulation_respects_bounds():
@@ -155,12 +172,17 @@ def test_max_flow_matches_recursive_oracle():
             (rng.randint(0, n - 1), rng.randint(0, n - 1), rng.choice((0, 1, 1, 2, 7)))
             for _ in range(rng.randint(1, 25))
         ]
-        net, oracle = Dinic(n), _RecursiveDinic(n)
-        for u, v, cap in arcs:
-            net.add_arc(u, v, cap)
-            oracle.add_arc(u, v, cap)
-        assert net.max_flow(0, n - 1) == oracle.max_flow(0, n - 1)
-        assert net.cap == oracle.cap, arcs
+        head, to, cap = _network(n, arcs)
+        oracle = _RecursiveDinic(n)
+        for u, v, c in arcs:
+            oracle.add_arc(u, v, c)
+        value = oracle.max_flow(0, n - 1)
+        assert _max_flow(head, to, cap, 0, n - 1, UNBOUNDED) == value
+        assert cap == oracle.cap, arcs
+        # asked for exactly the max-flow value, it stops with the same residual arrays
+        head, to, cap = _network(n, arcs)
+        assert _max_flow(head, to, cap, 0, n - 1, value) == value
+        assert cap == oracle.cap, arcs
 
 
 def test_circulation_matches_brute_force():
@@ -185,9 +207,7 @@ def test_circulation_matches_brute_force():
 def test_long_chain_needs_no_recursion():
     # a 3,000-node path: a recursive path search would nest 3,000 calls deep
     n = 3000
-    net = Dinic(n)
-    for v in range(n - 1):
-        net.add_arc(v, v + 1, 2)
-    assert net.max_flow(0, n - 1) == 2
+    network = _network(n, [(v, v + 1, 2) for v in range(n - 1)])
+    assert _max_flow(*network, 0, n - 1, UNBOUNDED) == 2
     arcs = [(v, v + 1, 0, 1) for v in range(n - 1)] + [(n - 1, 0, 1, 1)]
     assert _circulation(n, arcs) == [1] * n

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -17,8 +18,8 @@ from amalgam import (
     two_class_graph,
     two_class_parts,
 )
-from amalgam.multigraph import color_degrees, pair_keys, union
-from tests.oracles import _all_pairs_two_class_edges, color_class_degree
+from amalgam.multigraph import color_degrees, find, pair_keys, union
+from tests.oracles import _all_pairs_two_class_edges, _dense_roots, color_class_degree
 
 
 def test_loop_contributes_two_to_degree():
@@ -35,15 +36,63 @@ def test_multiplicity_and_degree_sum():
 
 
 def _union_components(g):
-    # s vertices less one per merging union: each isolated vertex stays its own component
-    parent = {}
-    return g.vertex_count - sum(union(parent, a, b) for a, b in g.edges)
+    # s vertices less one per merge: each isolated vertex stays its own component
+    return g.vertex_count - union({}, g.edges)
 
 
 def test_components_count_isolated_vertices():
     assert _union_components(Multigraph(4, ((0, 1),))) == 3
     assert _union_components(Multigraph(3, ())) == 3
     assert _union_components(complete_graph(5)) == 1
+
+
+def _partition(vertex_count, root):
+    blocks = {}
+    for v in range(vertex_count):
+        blocks.setdefault(root(v), set()).add(v)
+    return sorted(map(sorted, blocks.values()))
+
+
+def test_union_matches_dense_oracle():
+    # loops and repeated pairs merge nothing; batches land on earlier batches' roots
+    rng = random.Random(1956)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        parent = {}
+        cut = rng.randint(0, len(pairs))
+        merges = union(parent, pairs[:cut]) + union(parent, pairs[cut:])
+        root = _dense_roots(n, pairs)
+        assert merges == n - len({root(v) for v in range(n)}), pairs
+        assert _partition(n, lambda v: find(parent, v)) == _partition(n, root), pairs
+
+
+class _CountingDict(dict):
+    """A union-find dict that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, key):
+        self.tests += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        # a 4,000-link chain, each link hanging the old root under a new one,
+        # then 4,000 walks from its deep end
+        [(v, v + 1) for v in range(4000)] + [(0, 4001)] * 4000,
+        [(0, leaf) for leaf in range(1, 8001)],  # a star, merged through its center
+    ],
+    ids=["chain", "star"],
+)
+def test_union_halves_the_paths_it_walks(pairs):
+    # without compression these take 16M-32M membership tests
+    parent = _CountingDict()
+    union(parent, pairs)
+    assert parent.tests <= 8 * len(pairs)
 
 
 def test_out_of_range_ids_raise():
