@@ -1,35 +1,40 @@
-"""The two coloring engines.
+"""The two coloring engines, on one class loop.
 
 * ``bee_coloring``: balanced, equitable and equalized k-coloring of a
-  bipartite multigraph, by recursive quota selection over two laminar
-  families (per-pair edge sets, per-side vertex stars, all edges). It
-  serves ``amalgam color --mode bee``; no construction uses it.
+  bipartite multigraph: the edges, each pair and each vertex star split
+  into k classes whose sizes differ by at most 1 (de Werra, INFOR 9,
+  1971). It serves ``amalgam color --mode bee``; no construction uses it.
 * ``evenly_equitable_coloring``: per-vertex-even k-coloring of an even
   multigraph (loops allowed) with per-vertex color degrees pairwise
-  differing by 0 or 2 (Hilton, Combinatorica 2, 1982); the two-class
-  construction colors its fused graph with it, and it serves ``amalgam
-  color --mode even``. Classes k, k-1, ..., 2 are extracted one at a
-  time, each as a bounded circulation on an Eulerian orientation of the
-  edges not yet colored, from the engine's own Euler walk; class 1 takes
-  what is left. With c classes to go and half-degree h at a vertex,
-  the class taken gets half-degree x in {floor(h/c), ceil(h/c)}, and
-  (h-x)/(c-1) stays in [q, q+1] for q = floor(h/c). So every class ends
-  with degree 2q or 2q+2 at that vertex, and a single pass is exact.
+  differing by 0 or 2 (Hilton, Combinatorica 2, 1982). The two-class
+  construction colors its fused graph with it; ``--mode even``.
 
-  A fused graph has few vertices and many parallel edges and loops, so
-  a class works on pair multiplicities, not on edges: one arc per
-  oriented vertex pair, its capacity the pair's uncolored edges that
-  way. A class costs O(P + V) for P distinct pairs and V vertices, and
-  the coloring O(k(P + V) + E). A class given f edges of a pair takes
-  the pair's f lowest uncolored edge ids.
+Both run ``_peel``: classes top, ..., 2 are taken one at a time, each as
+a circulation on the pair multiplicities of the edges not yet colored,
+and class 1 takes the rest. A class costs O(P + V) for P distinct pairs
+and takes each pair's lowest uncolored edge ids. With c classes to go, a
+quota on x uncolored edges is an arc with the window [floor(x/c),
+ceil(x/c)]. Taking y leaves (x-y)/(c-1) in [q, q+1] for q = floor(x/c),
+so every class ends with q or q+1 of each quota and one pass is exact.
+x/c on every arc is a fractional circulation, so an integral one exists
+(None would be a bug). Classes above ``top`` (the edge count for bee,
+the largest half-degree for even) have windows [0, 1] only and are
+skipped. The two networks:
+
+* bee: the pair, star and total quotas of ``laminar``'s two families,
+  as an arc per pair (left to right), from the source to each left
+  vertex, from each right vertex to the sink, and from sink to source.
+  All edges of a pair lie in the same sets, so one arc per pair is exact.
+* even: the quota is half a vertex's degree, on an orientation with
+  in-degree half the degree at every vertex (``_even_class_counts``).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from functools import partial
 
 from .flows import feasible_circulation
-from .laminar import LaminarFamily, select_subset
 from .multigraph import EdgeColoring, GraphUsageError, Multigraph, color_degrees
 
 
@@ -37,8 +42,31 @@ class ColoringContractError(ValueError):
     """Input graph violates an engine's precondition."""
 
 
-def _within_one(counts: list[int]) -> bool:
-    return not counts or max(counts) - min(counts) <= 1
+def _peel(g: Multigraph, k: int, top: int, class_counts, verify, engine: str) -> EdgeColoring:
+    """The class loop of both engines, gated on the engine's verifier.
+
+    ``class_counts(uncolored, c)`` maps each pair to how many of its
+    ``uncolored[pair]`` edges class c takes; None is a failed circulation.
+    """
+    ids_of: dict[tuple[int, int], list[int]] = defaultdict(list)  # ascending edge ids
+    for e, (a, b) in enumerate(g.edges):
+        ids_of[(a, b) if a <= b else (b, a)].append(e)
+    # a pair's uncolored edges are the last ``uncolored[pair]`` of its ids
+    uncolored = {pair: len(ids) for pair, ids in ids_of.items()}
+    colors = [1] * g.edge_count
+    for c in range(min(k, top), 1, -1):
+        counts = class_counts(uncolored, c)
+        if counts is None:
+            raise RuntimeError(f"{engine} class {c} of k={k} has no circulation (bug)")
+        for pair, take in counts.items():
+            ids, t = ids_of[pair], uncolored[pair]
+            for e in ids[len(ids) - t : len(ids) - t + take]:
+                colors[e] = c
+            uncolored[pair] = t - take
+    coloring = EdgeColoring(k, tuple(colors))
+    if not verify(coloring):
+        raise RuntimeError(f"{engine} coloring failed; this indicates a bug")
+    return coloring
 
 
 # ---------------------------------------------------------------------------
@@ -53,65 +81,53 @@ def _check_bipartite(g: Multigraph, left: set[int]) -> None:
             raise ColoringContractError(f"edge ({a},{b}) does not cross the bipartition")
 
 
+def _bee_class_counts(
+    vertex_count: int, left: set[int], uncolored: dict[tuple[int, int], int], divisor: int
+) -> dict[tuple[int, int], int] | None:
+    """How many of each pair's uncolored edges the next bee class takes."""
+    s, t = vertex_count, vertex_count + 1
+    pairs = [(a, b) if a in left else (b, a) for a, b in uncolored]  # left end first
+    star = [0] * vertex_count
+    for (a, b), x in zip(pairs, uncolored.values()):
+        star[a] += x
+        star[b] += x
+    ends = [v for v in range(vertex_count) if star[v]]
+    # the pairs, an arc into each left end and out of each right end, the total
+    tails = [a for a, _ in pairs] + [s if v in left else v for v in ends] + [t]
+    heads = [b for _, b in pairs] + [v if v in left else t for v in ends] + [s]
+    sizes = [*uncolored.values(), *(star[v] for v in ends), sum(uncolored.values())]
+    lo = [x // divisor for x in sizes]
+    flow = feasible_circulation(t + 1, tails, heads, lo, [-(-x // divisor) for x in sizes])
+    if flow is None:
+        return None
+    return {pair: f for pair, f in zip(uncolored, flow) if f}
+
+
 def bee_coloring(g: Multigraph, left: set[int], k: int) -> EdgeColoring:
     """Balanced, equitable, equalized k-edge-coloring of a bipartite multigraph."""
     if k < 1:
         raise GraphUsageError("k must be >= 1")
     _check_bipartite(g, left)
-    colors = [0] * g.edge_count
-    remaining = list(range(g.edge_count))  # ascending EdgeId order breaks ties
-    # while more classes are left than edges, every quota is [0, 1] and a class takes none
-    for c in range(max(1, k - g.edge_count + 1), k + 1):
-        classes_left = k - c + 1
-        if classes_left == 1:
-            for e in remaining:
-                colors[e] = c
-            remaining = []
-            break
-        size = len(remaining)
-        by_pair: dict[tuple[int, int], list[int]] = defaultdict(list)
-        by_vertex: dict[int, list[int]] = defaultdict(list)
-        for i, e in enumerate(remaining):
-            a, b = g.edges[e]
-            by_pair[(min(a, b), max(a, b))].append(i)
-            by_vertex[a].append(i)
-            by_vertex[b].append(i)
-        everything = [frozenset(range(size))]
-        fam_a = LaminarFamily.of(
-            size,
-            list(by_pair.values())
-            + [by_vertex[v] for v in sorted(by_vertex) if v in left]
-            + everything,
-        )
-        fam_b = LaminarFamily.of(
-            size,
-            [by_vertex[v] for v in sorted(by_vertex) if v not in left] + everything,
-        )
-        chosen = select_subset(size, fam_a, fam_b, classes_left)
-        for i in chosen:
-            colors[remaining[i]] = c
-        remaining = [e for i, e in enumerate(remaining) if i not in chosen]
-    return EdgeColoring(k, tuple(colors))
+    counts = partial(_bee_class_counts, g.vertex_count, left)
+    return _peel(g, k, g.edge_count, counts, partial(verify_bee, g, left), "bee")
 
 
 def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
-    """Exact check of the equalized, balanced and equitable properties."""
+    """Exact check of the equalized, balanced and equitable properties.
+
+    Counts the (set, color) pairs that occur, in O(E) for any k: a set
+    missing one of the k colors has a 0 there, so its counts must be <= 1.
+    """
     if len(coloring.colors) != g.edge_count:
         return False
-    k = coloring.k
-    sizes = [0] * (k + 1)
-    per_pair: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * (k + 1))
-    for e, (a, b) in enumerate(g.edges):
-        c = coloring.colors[e]
-        sizes[c] += 1
-        per_pair[(min(a, b), max(a, b))][c] += 1
-    if not _within_one(sizes[1:]):
-        return False
-    for counts in per_pair.values():
-        if not _within_one(counts[1:]):
-            return False
-    for counts in color_degrees(g, coloring.colors, k):
-        if not _within_one(counts[1:]):
+    pairs = [(a, b) if a <= b else (b, a) for a, b in g.edges]
+    per_set: dict[object, Counter] = defaultdict(Counter)  # None: all edges
+    for ((a, b), c), n in Counter(zip(pairs, coloring.colors)).items():
+        for key in (None, (a, b), a, b):
+            per_set[key][c] += n
+    for counts in per_set.values():
+        least = min(counts.values()) if len(counts) == coloring.k else 0
+        if max(counts.values()) > least + 1:
             return False
     return True
 
@@ -121,9 +137,9 @@ def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
 
 
 def _even_class_counts(
-    vertex_count: int, left: dict[tuple[int, int], int], divisor: int
+    vertex_count: int, uncolored: dict[tuple[int, int], int], divisor: int
 ) -> dict[tuple[int, int], int] | None:
-    """How many of each pair's ``left`` uncolored edges the next class takes.
+    """How many of each pair's uncolored edges the next even class takes.
 
     Orients the uncolored edges so that every vertex has in-degree equal
     to half its degree: half of a pair's edges each way, each loop v->v,
@@ -131,13 +147,11 @@ def _even_class_counts(
     leftovers (one edge per pair with an odd count, so an even simple
     graph). One arc per oriented pair, capacity its count, and a vertex
     arc whose window is [floor(h/divisor), ceil(h/divisor)] for in-degree
-    h. A circulation gives the class 2x edges at a vertex of throughput
-    x. It always exists: 1/divisor of every arc's capacity is a
-    fractional one, and the bounds are integers (None would be a bug).
+    h. A circulation gives the class 2x edges at a vertex of throughput x.
     """
     arcs: dict[tuple[int, int], int] = {}
     adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]  # (pair index, other end)
-    for i, ((a, b), t) in enumerate(left.items()):
+    for i, ((a, b), t) in enumerate(uncolored.items()):
         if a == b:
             if t:
                 arcs[a, a] = t
@@ -150,7 +164,7 @@ def _even_class_counts(
     # Hierholzer's walk from each start vertex in turn, backing up when stuck.
     # A step is recorded as it is popped, and each circuit's steps then enter
     # ``arcs`` in walk order, which is the circulation's arc order.
-    used = [False] * len(left)
+    used = [False] * len(uncolored)
     unread = [iter(out) for out in adj]
     for start in range(vertex_count):
         stack, popped = [(start, start)], []
@@ -196,26 +210,9 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
     for v, d in enumerate(degrees):
         if d % 2:
             raise ColoringContractError(f"vertex {v} has odd degree {d}")
-    ids_of: dict[tuple[int, int], list[int]] = defaultdict(list)  # ascending edge ids
-    for e, (a, b) in enumerate(g.edges):
-        ids_of[(a, b) if a <= b else (b, a)].append(e)
-    # a pair's uncolored edges are the last ``left[pair]`` of its ids
-    left = {pair: len(ids) for pair, ids in ids_of.items()}
-    colors = [1] * g.edge_count
-    # a class c above every half-degree has windows [0, 1] only and takes nothing
-    for c in range(min(k, max(degrees, default=0) // 2), 1, -1):
-        counts = _even_class_counts(g.vertex_count, left, c)
-        if counts is None:
-            raise RuntimeError(f"evenly-equitable class {c} of k={k} has no circulation (bug)")
-        for pair, take in counts.items():
-            ids, t = ids_of[pair], left[pair]
-            for e in ids[len(ids) - t : len(ids) - t + take]:
-                colors[e] = c
-            left[pair] = t - take
-    coloring = EdgeColoring(k, tuple(colors))
-    if not verify_evenly_equitable(g, coloring):
-        raise RuntimeError("evenly-equitable coloring failed; this indicates a bug")
-    return coloring
+    counts = partial(_even_class_counts, g.vertex_count)
+    verify = partial(verify_evenly_equitable, g)
+    return _peel(g, k, max(degrees, default=0) // 2, counts, verify, "evenly-equitable")
 
 
 def verify_evenly_equitable(g: Multigraph, coloring: EdgeColoring) -> bool:

@@ -1,9 +1,9 @@
 """Feasible integral circulations with lower bounds, on a private max-flow.
 
 Deliberately minimal. Its heaviest caller is ``detach``: every vertex
-split solves one circulation of its quota windows. ``select_subset``
-(the laminar quota selection behind ``bee_coloring``) and each class of
-``evenly_equitable_coloring`` solve one too. Not a general flow library.
+split solves one circulation of its quota windows. Each class of both
+coloring engines and each ``select_subset`` call solve one too. Not a
+general flow library.
 
 The arcs come as four parallel lists, and one pass over them folds each
 lower bound into the node excesses and writes each arc with room straight

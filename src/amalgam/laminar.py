@@ -2,9 +2,10 @@
 
 Given laminar families over a finite ground set and an integer n, selects
 a subset A with floor(|P|/n) <= |A & P| <= ceil(|P|/n) for every member
-set P. Implemented as a feasible integral flow: each family forms a
-forest by inclusion, member sets become bounded arcs, ground elements
-become unit arcs between the two forests.
+set P. No engine calls it: it is public API for the lemma. Implemented
+as a feasible integral flow: each family forms a forest by inclusion,
+member sets become bounded arcs, ground elements become unit arcs
+between the two forests.
 
 One sweep, O(sum |P| log), builds each forest and checks laminarity: the
 sets are placed largest first, a set's parent is the last set placed that

@@ -2,12 +2,14 @@
 
 Each oracle recomputes what a library kernel computes, the slow or the
 older way, and shares no state with it: per-vertex counts by a scan of
-every edge, host graphs built pair by pair, a pairwise detachment verifier with float windows, the
-tuple-keyed certificate checker, split state rescanned from scratch, the
-recursive Dinic that routed every arc, the augmenting-path class-to-degree
-matcher, the loop-aware Euler circuit routine, and a pairwise laminarity check
-with the random laminar families it is run on. The library keeps one
-kernel per job; the second way of doing it lives here and only here.
+every edge, host graphs built pair by pair, a pairwise detachment
+verifier with float windows, the tuple-keyed certificate checker, split
+state rescanned from scratch, the recursive Dinic that routed every arc,
+the augmenting-path class-to-degree matcher, the loop-aware Euler circuit
+routine, the dense bee verifier, and a pairwise laminarity check with the
+random laminar families it is run on. Components are counted with a
+dense union-find of their own. The library keeps one kernel per job; the
+second way of doing it lives here and only here.
 """
 
 import math
@@ -24,7 +26,7 @@ from amalgam import (
     qualifying_colors,
 )
 from amalgam.certify import CertifyReport, ClassVerdict
-from amalgam.detachment import _LOOP, edge_component_count
+from amalgam.detachment import _LOOP
 from amalgam.multigraph import color_degrees
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,14 @@ def _dense_roots(vertex_count, edges):
     for a, b in edges:
         parent[root(a)] = root(b)
     return root
+
+
+def _edge_components(edges):
+    """Components of the subgraph an edge list induces, from the dense union-find."""
+    edges = list(edges)
+    touched = {x for pair in edges for x in pair}
+    root = _dense_roots(max(touched, default=-1) + 1, edges)
+    return len({root(x) for x in touched})
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +208,8 @@ def _pairwise_verify_detachment(h, coloring, result):
     ok7 = True
     ids_h, ids_g = coloring.edge_ids_by_class(), result.coloring.edge_ids_by_class()
     for j in qualifying_colors(h, coloring, tuple(eta)):
-        ch = edge_component_count(h.edges[e] for e in ids_h[j])
-        cg = edge_component_count(g.edges[e] for e in ids_g[j])
+        ch = _edge_components(h.edges[e] for e in ids_h[j])
+        cg = _edge_components(g.edges[e] for e in ids_g[j])
         if cg != ch:
             ok7 = False
             details["A7"] = f"color {j}: {cg} != {ch}"
@@ -229,7 +239,7 @@ def _rebuilt_row_keeps_components(endpoints, colors, u, w, cell_sizes, j, row):
             after.append((w, z))
         if size - take:
             after.append((u, z))
-    return edge_component_count(after) == edge_component_count(before)
+    return _edge_components(after) == _edge_components(before)
 
 
 def _per_cell_keeps_components(group_of, row):
@@ -548,6 +558,36 @@ def euler_circuits(
         if trail:
             circuits.append(trail)
     return circuits
+
+
+# ---------------------------------------------------------------------------
+# Bee colorings: the dense verifier
+
+
+def _within_one(counts):
+    return not counts or max(counts) - min(counts) <= 1
+
+
+def _dense_verify_bee(g, left, coloring):
+    """Oracle: ``verify_bee`` on dense tables, a count per color 1..k for each set."""
+    if len(coloring.colors) != g.edge_count:
+        return False
+    k = coloring.k
+    sizes = [0] * (k + 1)
+    per_pair = {}
+    for e, (a, b) in enumerate(g.edges):
+        c = coloring.colors[e]
+        sizes[c] += 1
+        per_pair.setdefault((min(a, b), max(a, b)), [0] * (k + 1))[c] += 1
+    if not _within_one(sizes[1:]):
+        return False
+    for counts in per_pair.values():
+        if not _within_one(counts[1:]):
+            return False
+    for counts in color_degrees(g, coloring.colors, k):
+        if not _within_one(counts[1:]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ from amalgam import (
     verify_evenly_equitable,
 )
 import amalgam.coloring as coloring_module
+import amalgam.laminar as laminar_module
 from amalgam.multigraph import color_degrees
 from tests.conftest import random_bipartite, random_even_graph
-from tests.oracles import color_class_degree, euler_circuits
+from tests.oracles import _dense_verify_bee, color_class_degree, euler_circuits
 
 
 def _k33():
@@ -224,42 +225,86 @@ def test_evenly_equitable_failure_names_its_class(monkeypatch):
         evenly_equitable_coloring(g, 3)
 
 
+def test_bee_failure_names_its_class(monkeypatch):
+    # classes are extracted from min(k, E) down; class 1 takes what is left
+    monkeypatch.setattr(coloring_module, "feasible_circulation", lambda *args: None)
+    g, left = _k33()
+    with pytest.raises(RuntimeError, match=r"^bee class 9 of k=12 has no circulation"):
+        bee_coloring(g, left, 12)
+
+
+def test_bee_runs_one_small_circulation_per_class(monkeypatch):
+    # 2 vertices, 20,000 parallel edges: a class solves one circulation on the
+    # pair, its two stars and the total, however many parallel edges there are
+    sizes = []
+    solve = coloring_module.feasible_circulation
+
+    def counting(num_nodes, tails, heads, lo, hi):
+        sizes.append(len(tails))
+        return solve(num_nodes, tails, heads, lo, hi)
+
+    monkeypatch.setattr(coloring_module, "feasible_circulation", counting)
+    monkeypatch.setattr(laminar_module, "feasible_circulation", counting)
+    g = Multigraph(2, ((0, 1),) * 20000)
+    k = 50
+    assert verify_bee(g, {0}, bee_coloring(g, {0}, k))
+    assert len(sizes) == k - 1
+    assert max(sizes) <= 4
+
+
+def test_verify_bee_matches_the_dense_verifier():
+    # a third random colorings, a third from the engine and a third from it
+    # with 1 or 2 edges recolored; k runs past E on small graphs
+    rng = random.Random(70)
+    rejected = 0
+    for i in range(2400):
+        g, left = random_bipartite(rng)
+        k = rng.randint(1, min(g.edge_count, 10) + 3)
+        if i % 3:
+            colors = list(bee_coloring(g, left, k).colors)
+            for _ in range(rng.randint(1, 2) if i % 3 == 2 and colors else 0):
+                colors[rng.randrange(len(colors))] = rng.randint(1, k)
+        else:
+            colors = [rng.randint(1, k) for _ in range(g.edge_count)]
+        coloring = EdgeColoring(k, tuple(colors))
+        want = _dense_verify_bee(g, left, coloring)
+        assert verify_bee(g, left, coloring) == want
+        rejected += not want
+    assert rejected > 500
+    g, left = _k33()
+    assert not verify_bee(g, left, EdgeColoring(3, (1,) * 8))  # one edge short
+
+
 def test_classes_that_take_nothing_solve_nothing(monkeypatch):
-    # at k = 2,000 a class above every half-degree, or with more classes left
-    # than edges, is empty; only the others solve a circulation or a selection
-    calls = Counter()
-    solve, select = coloring_module.feasible_circulation, coloring_module.select_subset
+    # at k = 2,000 a class above every half-degree, or above the edge count,
+    # is empty; only the others solve a circulation
+    calls = 0
+    solve = coloring_module.feasible_circulation
 
     def counting_solve(*args):
-        calls["circulation"] += 1
+        nonlocal calls
+        calls += 1
         return solve(*args)
 
-    def counting_select(*args):
-        calls["select"] += 1
-        return select(*args)
-
     monkeypatch.setattr(coloring_module, "feasible_circulation", counting_solve)
-    monkeypatch.setattr(coloring_module, "select_subset", counting_select)
     k = 2000
     g = Multigraph(3, ((0, 1), (1, 2), (0, 2)) * 3)  # half-degree 3: classes 3 and 2 solve
     assert verify_evenly_equitable(g, evenly_equitable_coloring(g, k))
     g, left = Multigraph(5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))), {0, 1}
-    assert verify_bee(g, left, bee_coloring(g, left, k))  # classes k-5..k-1 select
-    assert calls == {"circulation": 2, "select": 5}
+    assert verify_bee(g, left, bee_coloring(g, left, k))  # classes 6..2 solve
+    assert calls == 2 + 5
 
 
 def test_empty_classes_leave_the_others_as_they_were():
-    # every class past the edges or the half-degrees is empty, so a larger k
-    # only renumbers (bee) or keeps (even) the classes that take edges
+    # every class past the edges (bee) or the half-degrees (even) is empty, so
+    # a larger k keeps the classes that take edges
     rng = random.Random(2012)
     for _ in range(150):
         g, left = random_bipartite(rng)
         if not 0 < g.edge_count <= 30:
             continue
-        base = bee_coloring(g, left, g.edge_count).colors
         k = g.edge_count + rng.randint(1, 40)
-        shift = k - g.edge_count
-        assert bee_coloring(g, left, k).colors == tuple(c + shift for c in base)
+        assert bee_coloring(g, left, k).colors == bee_coloring(g, left, g.edge_count).colors
     for _ in range(300):
         g = random_even_graph(rng)
         top = max(g.degrees()) // 2
@@ -267,10 +312,8 @@ def test_empty_classes_leave_the_others_as_they_were():
         assert evenly_equitable_coloring(g, k).colors == evenly_equitable_coloring(g, top).colors
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("k", [2, 3])
 def test_bee_long_tripled_path(k):
-    # about 10,000 member sets per class: a pairwise laminar check is quadratic here
     m = 5000
     g = Multigraph(m, tuple((v, v + 1) for v in range(m - 1) for _ in range(3)))
     left = set(range(0, m, 2))

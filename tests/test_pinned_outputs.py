@@ -1,7 +1,7 @@
 """Pinned outputs: sha256 of the canonical JSON of a few constructions.
 
-Circulations decide which slots a split moves and which edges a
-``bee_coloring`` class takes, so these hashes change only when a
+Circulations decide which slots a split moves and how many edges of
+each pair a coloring class takes, so these hashes change only when a
 circulation's input (cells, windows, arc order) or the flow kernel's
 choice among feasible flows changes. A change that does so on purpose
 updates the hashes here and says so in CHANGES.md.
@@ -29,6 +29,7 @@ from amalgam import (
     ham_decompose_complete,
     ham_decompose_multipartite,
     select_subset,
+    verify_bee,
     walecki_direct,
 )
 from tests.conftest import random_bipartite, random_detachment_instance
@@ -128,16 +129,18 @@ def test_pinned_detachments():
 def test_pinned_bee_colorings():
     # the draws of test_bee_random_suite, then tripled paths with k = 2 and 3
     rng = random.Random(5)
-    colorings = []
-    while len(colorings) < 200:
+    draws = []
+    while len(draws) < 200:
         g, left = random_bipartite(rng)
         if g.edge_count:
-            colorings.append(bee_coloring(g, left, rng.randint(1, 6)).colors)
+            draws.append((g, left, bee_coloring(g, left, rng.randint(1, 6))))
     m = 2000
     path = Multigraph(m, tuple((v, v + 1) for v in range(m - 1) for _ in range(3)))
-    colorings += [bee_coloring(path, set(range(0, m, 2)), k).colors for k in (2, 3)]
-    assert _digest(colorings) == (
-        "2e89ae73b6e441ac08ba7537268b6a39a4e0660c3b88b2d308336e8028e0335f"
+    left = set(range(0, m, 2))
+    draws += [(path, left, bee_coloring(path, left, k)) for k in (2, 3)]
+    assert all(verify_bee(*draw) for draw in draws)
+    assert _digest([coloring.colors for _, _, coloring in draws]) == (
+        "63851dbaea8baab4cddbd8a07102dc36a4094adfc0ee499e5b74caf5e5b75531"
     )
 
 
