@@ -35,7 +35,7 @@ from collections import Counter, defaultdict
 from functools import partial
 
 from .flows import feasible_circulation
-from .multigraph import EdgeColoring, GraphUsageError, Multigraph, color_degrees
+from .multigraph import EdgeColoring, GraphUsageError, Multigraph
 
 
 class ColoringContractError(ValueError):
@@ -216,14 +216,21 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
 
 
 def verify_evenly_equitable(g: Multigraph, coloring: EdgeColoring) -> bool:
-    """Per vertex: every color degree even, pairwise differences in {0, 2}."""
+    """Per vertex: every color degree even, pairwise differences in {0, 2}.
+
+    Counts the (vertex, color) pairs that occur, in O(E) for any k: a vertex
+    missing one of the k colors has a 0 there, so its counts must be <= 2.
+    """
     if len(coloring.colors) != g.edge_count:
         return False
-    deg = color_degrees(g, coloring.colors, coloring.k)
-    for v in range(g.vertex_count):
-        row = deg[v][1:]
-        if any(d % 2 for d in row):
+    per_vertex: dict[int, Counter] = defaultdict(Counter)
+    for ((a, b), c), n in Counter(zip(g.edges, coloring.colors)).items():
+        per_vertex[a][c] += n  # a loop adds 2n at its vertex
+        per_vertex[b][c] += n
+    for counts in per_vertex.values():
+        if any(d % 2 for d in counts.values()):
             return False
-        if max(row) - min(row) > 2:
+        least = min(counts.values()) if len(counts) == coloring.k else 0
+        if max(counts.values()) > least + 2:
             return False
     return True

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 from .certify import (
@@ -575,75 +576,65 @@ def _two_class_coloring(
 ) -> tuple[Multigraph, EdgeColoring]:
     """The fused m-vertex graph behind a two-class decomposition.
 
-    Pair multiplicities mu*n^2, lambda*C(n,2) loops per vertex. Classes
-    1..k (k = degree // 2) each get one cross cycle of ``_walecki_classes``
-    (mu*n^2-fold K_m) plus an evenly equitable share of the remainder. For
-    odd degree, class k+1 is the 1-factor: floor(n/2) reserved loops per
-    vertex and, when n is odd, the cross leave. mu = 0 builds no cross block.
+    Built block by block in edge order: each cross pair (p, q), in
+    lexicographic order, with mu*n^2 edges (no block when mu = 0), then
+    each vertex's lambda*C(n,2) loops. Each block starts with the classes
+    fixed on its pair, and one ``evenly_equitable_coloring`` call colors
+    the rest. Classes 1..k (k = degree // 2) are each fixed on one cross
+    cycle of ``_walecki_classes`` (mu*n^2-fold K_m), so class j's edges
+    come first on a pair in the order the cycles use it. For odd degree,
+    class k+1 is the 1-factor: floor(n/2) loops per vertex and, when n is
+    odd, the cross leave after the cycles. One part (m = 1) is lambda*K_n
+    as one loop vertex (Hilton, JCTB 36, 1984); a single vertex is
+    connected, so its classes need no cross cycle.
     """
     k, odd = divmod(degree, 2)
-    reserved_loops = odd * (n // 2)
-    leave_from_cross = bool(odd and n % 2)
-    edges: list[tuple[int, int]] = []
-    pair_ids: dict[tuple[int, int], deque[int]] = {}
-    cycles, cross_leave = [], None
-    if mu:
-        for p in range(m):
-            for q in range(p + 1, m):
-                pair_ids[(p, q)] = deque(range(len(edges), len(edges) + mu * n * n))
-                edges += [(p, q)] * (mu * n * n)
-        cycles, cross_leave = _walecki_classes(m, mu * n * n)
-    loop_ids = []
-    for p in range(m):
-        loop_ids.append(list(range(len(edges), len(edges) + lam * math.comb(n, 2))))
-        edges += [(p, p)] * (lam * math.comb(n, 2))
-
-    if len(cycles) < k or (leave_from_cross and cross_leave is None):
+    cycles, leave = _walecki_classes(m, mu * n * n) if mu else ([], None)
+    if m > 1 and (len(cycles) < k or (odd and n % 2 and leave is None)):
         raise RuntimeError("not enough spanning cycles in the fused graph (bug)")
+    uses: dict[tuple[int, int], list[int]] = {}  # cross pair -> its fixed classes, in order
+    for j, cycle in enumerate(cycles[:k], start=1):
+        for pair in cycle:
+            uses.setdefault(pair, []).append(j)
+    if odd and n % 2:  # then mu*n*(m-1) is odd, so m > 1 and the leave exists
+        for pair in leave:
+            uses.setdefault(pair, []).append(k + 1)
+    blocks = []  # (pair, edge count, the classes fixed on its first edges)
+    if mu:
+        size = mu * n * n
+        blocks += [((p, q), size, uses.get((p, q), [])) for p in range(m) for q in range(p + 1, m)]
+    blocks += [((p, p), lam * math.comb(n, 2), [k + 1] * (odd * (n // 2))) for p in range(m)]
 
-    num_classes = k + odd
-    colors = [0] * len(edges)
-    for j in range(1, k + 1):
-        for a, b in cycles[j - 1]:
-            colors[pair_ids[(a, b)].popleft()] = j
-    if leave_from_cross:
-        for a, b in cross_leave:
-            colors[pair_ids[(a, b)].popleft()] = k + 1
-    for p in range(m):
-        for e in loop_ids[p][:reserved_loops]:
-            colors[e] = k + 1
-
-    rest = [e for e in range(len(edges)) if colors[e] == 0]
-    if rest and k >= 1:
-        sub = Multigraph(m, tuple(edges[e] for e in rest))
-        sub_col = evenly_equitable_coloring(sub, k)
-        for i, e in enumerate(rest):
-            colors[e] = sub_col.colors[i]
+    rest = tuple(pair for pair, size, fixed in blocks for _ in range(size - len(fixed)))
+    rest_colors = iter(evenly_equitable_coloring(Multigraph(m, rest), k).colors if rest else ())
+    edges: list[tuple[int, int]] = []
+    colors: list[int] = []
+    for pair, size, fixed in blocks:
+        edges += [pair] * size
+        colors += fixed
+        colors += islice(rest_colors, size - len(fixed))
 
     h = Multigraph(m, tuple(edges))
-    coloring = EdgeColoring(num_classes, tuple(colors))
-    deg = color_degrees(h, colors, num_classes)
+    deg = color_degrees(h, colors, k + odd)
     for p in range(m):
         for j in range(1, k + 1):
             if deg[p][j] != 2 * n:
                 raise RuntimeError(f"class {j} degree {deg[p][j]} != {2 * n} (bug)")
-        if num_classes > k and deg[p][k + 1] != n:
+        if odd and deg[p][k + 1] != n:
             raise RuntimeError(f"leave class degree {deg[p][k + 1]} != {n} (bug)")
-    return h, coloring
+    return h, EdgeColoring(k + odd, tuple(colors))
 
 
 def _two_class_claims(n: int, m: int, lam: int, mu: int, degree: int) -> tuple[ClassClaim, ...]:
     """Claims of a feasible two-multiplicity host of the given degree.
 
-    All shapes take the fused route but two. One part (m = 1) has no cross
-    edges for the spanning cycles: lambda*K_n is one loop vertex detached
-    to n (Hilton, JCTB 36, 1984), and an edgeless host has no classes. With
-    lambda = 0, n > 1 and odd degree, the 1-factor needs n // 2 loops per
-    fused vertex and there are none, so the multipartite host is built.
+    Every shape with an edge takes the fused route but one: with lambda = 0,
+    n > 1 and odd degree, the 1-factor needs n // 2 loops per fused vertex
+    and there are none, so the multipartite host is built.
     """
     r, roles = _hamiltonian_classes(degree)
-    if m == 1 or not r:
-        return _complete_classes(n * m, r, roles)
+    if not r:
+        return ()
     if lam == 0 and n > 1 and degree % 2:
         return _multipartite_classes(n, m, r, roles)
     h, coloring = _two_class_coloring(n, m, lam, mu, degree)

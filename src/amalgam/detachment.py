@@ -20,9 +20,10 @@ Nothing is searched or retried.
 Each fused vertex keeps its star across its splits (``_Star``): its
 cells, and for each qualifying color a union-find of that color's edges
 away from it. Both are built once per fused vertex, from incidence and
-per-color edge lists made in one pass over the edges, and each split
-updates them in place. So a split costs O(deg u) plus one circulation,
-and a fused vertex's star costs its qualifying classes' edges once.
+the qualifying classes' edge lists made in one pass over the edges, and
+each split updates them in place. So a split costs O(deg u) plus one
+circulation, and a fused vertex's star costs its qualifying classes'
+edges once.
 
 A per-split guard re-checks the component counts, and the output is
 gated by ``verify_detachment``; a split that fails raises
@@ -31,7 +32,10 @@ gated by ``verify_detachment``; a split that fails raises
 The verifier counts only the sibling pairs that occur in the output, as
 int keys: a pair that does not occur carries 0 edges, which its floor
 allows iff H's count is below the pair's share. So it costs O(E + V_G k)
-for E edges, V_G output vertices and k colors, not a visit per pair.
+for E edges, V_G output vertices and k colors that occur, not a visit per
+pair. Both ``detach`` and the verifier size their color tables by the
+colors that occur (``_occurring_colors``), so a k far above them costs
+nothing.
 """
 
 from __future__ import annotations
@@ -129,6 +133,33 @@ def _qualifying(deg: list[list[int]], eta: Sequence[int], k: int) -> list[int]:
     return [j for j in range(1, k + 1) if all(row[j] % (2 * n) == 0 for row, n in zip(deg, eta))]
 
 
+def _occurring_colors(colors: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The colors that occur, ascending, and each edge's index among them from 1.
+
+    Tables over these indices cost the colors that occur, not k. The map
+    keeps the order of the colors, and a color with no edge qualifies
+    vacuously and has no components, so skipping it changes no verdict.
+    """
+    present = sorted(set(colors))
+    index = dict(zip(present, range(1, len(present) + 1)))
+    return present, [index[c] for c in colors]
+
+
+def _qualifying_classes(
+    deg: list[list[int]], eta: Sequence[int], present: list[int], dense: list[int]
+) -> dict[int, list[int]]:
+    """Each qualifying color that occurs -> its edge ids, ascending.
+
+    ``deg`` is H's color-degree table over the indices ``dense`` of
+    ``_occurring_colors``, whose colors are ``present``.
+    """
+    ids: dict[int, list[int]] = {j: [] for j in _qualifying(deg, eta, len(present))}
+    for e, j in enumerate(dense):
+        if j in ids:
+            ids[j].append(e)
+    return {present[j - 1]: edge_ids for j, edge_ids in ids.items()}
+
+
 def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> DetachmentResult:
     """Loopless eta-detachment satisfying the degree/multiplicity/component quotas."""
     if len(eta) != h.vertex_count:
@@ -150,8 +181,9 @@ def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> Detachm
         if n == 1 and loops[v]:
             raise DetachmentContractError(f"eta({v})=1 but vertex {v} has loops")
 
-    colors, by_color = coloring.colors, coloring.edge_ids_by_class()
-    class_edges = {j: by_color[j] for j in qualifying_colors(h, coloring, eta)}
+    colors = coloring.colors
+    present, dense = _occurring_colors(colors)
+    class_edges = _qualifying_classes(color_degrees(h, dense, len(present)), eta, present, dense)
     endpoints = [list(pair) for pair in h.edges]
     phi = list(range(h.vertex_count))
     labels: dict[int, list[int]] = {v: [] for v in range(h.vertex_count)}
@@ -374,7 +406,8 @@ def verify_detachment(
     C(eta(u), 2) for loops. Only the pairs that occur in G are counted, and
     each distinct (H key, count) is tested once. A pair that does not occur
     carries 0, which the floor allows iff want < share, so an H key with
-    want >= share must be met by all its sibling pairs. O(E + V_G k).
+    want >= share must be met by all its sibling pairs. O(E + V_G k) for the
+    k colors that occur.
     """
     errors = []
     g, spec = result.g, result.spec
@@ -407,11 +440,13 @@ def verify_detachment(
     props = dict.fromkeys(("A1", "A2", "A3", "A4", "A5", "A6", "A7"), True)
     details: dict[str, str] = {}
 
-    deg_h = color_degrees(h, colors, k)
+    # degree tables over the colors that occur: an absent color is 0 on both sides
+    present, dense = _occurring_colors(colors)
+    deg_h = color_degrees(h, dense, len(present))
     lows = [[d // n for d in row] for row, n in zip(deg_h, eta)]
     highs = [[-(-d // n) for d in row] for row, n in zip(deg_h, eta)]
     totals = [(sum(row) // n, -(-sum(row) // n)) for row, n in zip(deg_h, eta)]
-    for u, row in zip(phi, color_degrees(g, colors, k)):
+    for u, row in zip(phi, color_degrees(g, dense, len(present))):
         props["A1"] &= totals[u][0] <= sum(row) <= totals[u][1]
         props["A2"] &= all(map(le, lows[u], row)) and all(map(le, row, highs[u]))
 
@@ -424,11 +459,10 @@ def verify_detachment(
     for loop in _failing_pairs(color_keys, g_color_keys, eta, k + 1):
         props["A4" if loop else "A6"] = False
 
-    by_color = coloring.edge_ids_by_class()
-    for j in _qualifying(deg_h, eta, k):
+    for j, ids in _qualifying_classes(deg_h, eta, present, dense).items():
         # parallel edges never change a component count
-        ch = edge_component_count({h.edges[e] for e in by_color[j]})
-        cg = edge_component_count([g.edges[e] for e in by_color[j]])
+        ch = edge_component_count({h.edges[e] for e in ids})
+        cg = edge_component_count([g.edges[e] for e in ids])
         if cg != ch:
             props["A7"] = False
             details["A7"] = f"color {j}: {cg} != {ch}"

@@ -6,8 +6,10 @@ every edge, host graphs built pair by pair, a pairwise detachment
 verifier with float windows, the tuple-keyed certificate checker, split
 state rescanned from scratch, the recursive Dinic that routed every arc,
 the augmenting-path class-to-degree matcher, the loop-aware Euler circuit
-routine, the dense bee verifier, and a pairwise laminarity check with the
-random laminar families it is run on. Components are counted with a
+routine, the dense bee and evenly-equitable verifiers, the fused two-class
+graph laid out through per-pair deques of edge ids, and a pairwise
+laminarity check with the random laminar families it is run on. Color
+degrees are counted on a dense table of their own, and components with a
 dense union-find of their own. The library keeps one kernel per job; the
 second way of doing it lives here and only here.
 """
@@ -22,12 +24,14 @@ from amalgam import (
     ROLE_ONE_FACTOR,
     ROLE_R_FACTOR,
     DetachmentReport,
+    EdgeColoring,
     LaminarFamily,
-    qualifying_colors,
+    Multigraph,
+    evenly_equitable_coloring,
 )
 from amalgam.certify import CertifyReport, ClassVerdict
+from amalgam.constructions import _walecki_classes
 from amalgam.detachment import _LOOP
-from amalgam.multigraph import color_degrees
 
 # ---------------------------------------------------------------------------
 # Per-vertex and per-pair counts, each a scan of every edge
@@ -48,6 +52,15 @@ def components(g):
     """Connected components, isolated vertices included, from a dense union-find."""
     root = _dense_roots(g.vertex_count, g.edges)
     return len({root(v) for v in range(g.vertex_count)})
+
+
+def _dense_color_degrees(g, colors, k):
+    """Oracle: ``deg[v][j]`` for every vertex v and color j in 0..k, one scan of the edges."""
+    deg = [[0] * (k + 1) for _ in range(g.vertex_count)]
+    for (a, b), c in zip(g.edges, colors):
+        deg[a][c] += 1
+        deg[b][c] += 1
+    return deg
 
 
 def color_class_degree(g, coloring, j, v):
@@ -134,8 +147,8 @@ def _pairwise_verify_detachment(h, coloring, result):
 
     k = coloring.k
     siblings = [[w for w in range(g.vertex_count) if phi[w] == u] for u in range(h.vertex_count)]
-    deg_h = color_degrees(h, coloring.colors, k)
-    deg_g = color_degrees(g, result.coloring.colors, k)
+    deg_h = _dense_color_degrees(h, coloring.colors, k)
+    deg_g = _dense_color_degrees(g, result.coloring.colors, k)
     dh = h.degrees()
     dg = g.degrees()
 
@@ -207,7 +220,12 @@ def _pairwise_verify_detachment(h, coloring, result):
 
     ok7 = True
     ids_h, ids_g = coloring.edge_ids_by_class(), result.coloring.edge_ids_by_class()
-    for j in qualifying_colors(h, coloring, tuple(eta)):
+    # a color qualifies when each vertex's degree in it is an even multiple of eta
+    qualifying = [
+        j for j in range(1, k + 1)
+        if all(deg_h[u][j] % (2 * eta[u]) == 0 for u in range(h.vertex_count))
+    ]
+    for j in qualifying:
         ch = _edge_components(h.edges[e] for e in ids_h[j])
         cg = _edge_components(g.edges[e] for e in ids_g[j])
         if cg != ch:
@@ -584,10 +602,90 @@ def _dense_verify_bee(g, left, coloring):
     for counts in per_pair.values():
         if not _within_one(counts[1:]):
             return False
-    for counts in color_degrees(g, coloring.colors, k):
+    for counts in _dense_color_degrees(g, coloring.colors, k):
         if not _within_one(counts[1:]):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Evenly-equitable colorings: the dense verifier
+
+
+def _dense_verify_evenly_equitable(g, coloring):
+    """Oracle: ``verify_evenly_equitable`` on a dense table, a count per color 1..k per vertex."""
+    if len(coloring.colors) != g.edge_count:
+        return False
+    deg = _dense_color_degrees(g, coloring.colors, coloring.k)
+    for v in range(g.vertex_count):
+        row = deg[v][1:]
+        if any(d % 2 for d in row):
+            return False
+        if max(row) - min(row) > 2:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Two-class fused graphs: fixed classes placed through per-pair deques of edge ids
+
+
+def _deque_two_class_coloring(n, m, lam, mu, degree):
+    """Oracle: the fused two-class graph and its coloring, laid out edge id by edge id.
+
+    The cross blocks and the loops are laid down first. Each cross cycle,
+    then the cross leave, then the reserved 1-factor loops take the next
+    free id of their pair from a deque, and the ids left uncolored are
+    remapped through one ``evenly_equitable_coloring`` call.
+    """
+    k, odd = divmod(degree, 2)
+    reserved_loops = odd * (n // 2)
+    leave_from_cross = bool(odd and n % 2)
+    edges = []
+    pair_ids = {}
+    cycles, cross_leave = [], None
+    if mu:
+        for p in range(m):
+            for q in range(p + 1, m):
+                pair_ids[(p, q)] = deque(range(len(edges), len(edges) + mu * n * n))
+                edges += [(p, q)] * (mu * n * n)
+        cycles, cross_leave = _walecki_classes(m, mu * n * n)
+    loop_ids = []
+    for p in range(m):
+        loop_ids.append(list(range(len(edges), len(edges) + lam * math.comb(n, 2))))
+        edges += [(p, p)] * (lam * math.comb(n, 2))
+
+    if len(cycles) < k or (leave_from_cross and cross_leave is None):
+        raise RuntimeError("not enough spanning cycles in the fused graph")
+
+    num_classes = k + odd
+    colors = [0] * len(edges)
+    for j in range(1, k + 1):
+        for a, b in cycles[j - 1]:
+            colors[pair_ids[(a, b)].popleft()] = j
+    if leave_from_cross:
+        for a, b in cross_leave:
+            colors[pair_ids[(a, b)].popleft()] = k + 1
+    for p in range(m):
+        for e in loop_ids[p][:reserved_loops]:
+            colors[e] = k + 1
+
+    rest = [e for e in range(len(edges)) if colors[e] == 0]
+    if rest and k >= 1:
+        sub = Multigraph(m, tuple(edges[e] for e in rest))
+        sub_col = evenly_equitable_coloring(sub, k)
+        for i, e in enumerate(rest):
+            colors[e] = sub_col.colors[i]
+
+    h = Multigraph(m, tuple(edges))
+    deg = _dense_color_degrees(h, colors, num_classes)
+    for p in range(m):
+        for j in range(1, k + 1):
+            if deg[p][j] != 2 * n:
+                raise RuntimeError(f"class {j} degree {deg[p][j]} != {2 * n}")
+        if num_classes > k and deg[p][k + 1] != n:
+            raise RuntimeError(f"leave class degree {deg[p][k + 1]} != {n}")
+    return h, EdgeColoring(num_classes, tuple(colors))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -17,7 +18,12 @@ import amalgam.coloring as coloring_module
 import amalgam.laminar as laminar_module
 from amalgam.multigraph import color_degrees
 from tests.conftest import random_bipartite, random_even_graph
-from tests.oracles import _dense_verify_bee, color_class_degree, euler_circuits
+from tests.oracles import (
+    _dense_verify_bee,
+    _dense_verify_evenly_equitable,
+    color_class_degree,
+    euler_circuits,
+)
 
 
 def _k33():
@@ -273,6 +279,45 @@ def test_verify_bee_matches_the_dense_verifier():
     assert rejected > 500
     g, left = _k33()
     assert not verify_bee(g, left, EdgeColoring(3, (1,) * 8))  # one edge short
+
+
+def test_verify_evenly_equitable_matches_the_dense_verifier():
+    # a third random colorings, a third from the engine and a third from it
+    # with 1 or 2 edges recolored; k runs past the largest half-degree
+    rng = random.Random(1982)
+    rejected = above = 0
+    for i in range(2400):
+        g = random_even_graph(rng)
+        top = max(g.degrees()) // 2
+        k = rng.randint(1, top + 3)
+        if i % 3:
+            colors = list(evenly_equitable_coloring(g, k).colors)
+            for _ in range(rng.randint(1, 2) if i % 3 == 2 else 0):
+                colors[rng.randrange(len(colors))] = rng.randint(1, k)
+        else:
+            colors = [rng.randint(1, k) for _ in range(g.edge_count)]
+        coloring = EdgeColoring(k, tuple(colors))
+        want = _dense_verify_evenly_equitable(g, coloring)
+        assert verify_evenly_equitable(g, coloring) == want, (g.edges, coloring)
+        rejected += not want
+        above += k > top
+    assert rejected > 500 and above > 300
+    c4 = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    assert not verify_evenly_equitable(c4, EdgeColoring(2, (1,) * 3))  # one edge short
+
+
+def test_verify_evenly_equitable_counts_only_the_colors_that_occur():
+    # a 20-cycle at k = 10^5: no table over the k colors, so the peak stays small
+    n = 20
+    g = Multigraph(n, tuple((v, (v + 1) % n) for v in range(n)))
+    tracemalloc.start()
+    try:
+        coloring = evenly_equitable_coloring(g, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coloring.colors == (1,) * n
+    assert peak < 2**20
 
 
 def test_classes_that_take_nothing_solve_nothing(monkeypatch):

@@ -28,8 +28,8 @@ from amalgam import (
     walecki_direct,
 )
 import amalgam.constructions as constructions
-from amalgam.constructions import _sweep_classes
-from tests.oracles import components, recursive_assign_classes
+from amalgam.constructions import _sweep_classes, _two_class_coloring, _two_class_degree
+from tests.oracles import _deque_two_class_coloring, components, recursive_assign_classes
 
 
 def roles(cert):
@@ -339,7 +339,7 @@ def test_two_class_odd_infeasible_n2():
 
 
 def test_two_class_degenerate_redirects():
-    # one part: lambda*K_n, built as one loop vertex
+    # one part: lambda*K_n, fused to one loop vertex
     cert = decompose_two_class(5, 1, 2, 0)
     assert certify(cert).passed
     # singleton parts: mu*K_m, fused with one copy per fused vertex
@@ -402,10 +402,35 @@ def test_two_class_without_cross_edges_builds_no_cross_cycles(monkeypatch):
     assert certify(cert).passed
 
 
+def test_pair_blocks_match_the_deque_layout():
+    # every fused-route shape with several parts: the same fused graph and
+    # coloring as placing the fixed classes through per-pair deques of edge ids
+    shapes = 0
+    for n, m, lam, mu in itertools.product(range(1, 7), range(2, 6), range(5), range(4)):
+        degree = _two_class_degree(n, m, lam, mu)
+        req = DecompositionRequest("two-class", n=n, m=m, lam=lam, mu=mu)
+        if not degree or (lam == 0 and n > 1 and degree % 2):
+            continue
+        if not check_feasibility(req).feasible:
+            continue
+        h, coloring = _two_class_coloring(n, m, lam, mu, degree)
+        want_h, want_coloring = _deque_two_class_coloring(n, m, lam, mu, degree)
+        assert (h.edges, coloring) == (want_h.edges, want_coloring), (n, m, lam, mu)
+        shapes += 1
+    assert shapes > 250
+
+
+def test_one_part_hosts_equal_the_complete_builder():
+    # lambda*K_n on the fused route gives K_n's loop-vertex certificate, class for class
+    for n, lam, mu in itertools.product(range(1, 13), range(5), range(3)):
+        two_class = decompose_two_class(n, 1, lam, mu)
+        assert two_class.classes == ham_decompose_complete(n, lam).classes, (n, lam, mu)
+
+
 @pytest.mark.parametrize(
     "shape, calls",
     [
-        ((3, 1, 1, 2), 1),  # one part: lambda*K_n as one loop vertex
+        ((3, 1, 1, 2), 1),  # one part: lambda*K_n, fused to one loop vertex
         ((1, 4, 2, 1), 1),  # singleton parts: fused
         ((2, 3, 1, 1), 1),  # equal multiplicities: fused
         ((2, 3, 1, 2), 1),  # odd, n = 2: fused, one loop per vertex in the 1-factor

@@ -270,13 +270,15 @@ def _on_every_split(monkeypatch, check):
     (group_of, row) arguments that the component guard was given.
     """
     real_counts, real_guard = detachment._split_counts, detachment.keeps_components
-    real_quals = detachment.qualifying_colors
+    real_quals = detachment._qualifying_classes
     call = {}
 
-    def qualifying(h, coloring, eta):
-        # detach asks for its qualifying colors before its first split
-        call["colors"], call["quals"] = coloring.colors, real_quals(h, coloring, eta)
-        return list(call["quals"])
+    def qualifying(deg, eta, present, dense):
+        # detach asks for its qualifying classes before its first split
+        class_edges = real_quals(deg, eta, present, dense)
+        call["colors"] = [present[j - 1] for j in dense]
+        call["quals"] = list(class_edges)
+        return class_edges
 
     def guard(group_of, row):
         call["guarded"].append((group_of, row))
@@ -288,7 +290,7 @@ def _on_every_split(monkeypatch, check):
         check(star, delta, counts, call["guarded"], call["colors"], call["quals"])
         return counts
 
-    monkeypatch.setattr(detachment, "qualifying_colors", qualifying)
+    monkeypatch.setattr(detachment, "_qualifying_classes", qualifying)
     monkeypatch.setattr(detachment, "keeps_components", guard)
     monkeypatch.setattr(detachment, "_split_counts", split_counts)
 
@@ -436,6 +438,26 @@ def test_failed_search_names_vertex_split_and_color(monkeypatch):
     err = info.value
     assert (err.vertex, err.delta, err.color) == (0, 3, None)
     assert str(err).endswith("construction at vertex 0, split delta=3, no color")
+
+
+def test_detach_sizes_its_tables_by_the_colors_that_occur(monkeypatch):
+    # a 20-vertex ring of doubled edges colored 1 and 2, at k = 10^5: every
+    # color-degree table of detach and its verifier has columns 0, 1 and 2 only
+    widths = []
+    real_color_degrees = detachment.color_degrees
+
+    def recording_color_degrees(g, colors, k):
+        deg = real_color_degrees(g, colors, k)
+        widths.extend(len(row) for row in deg)
+        return deg
+
+    monkeypatch.setattr(detachment, "color_degrees", recording_color_degrees)
+    n = 20
+    edges = tuple((min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n) for _ in range(2))
+    h, eta = Multigraph(n, edges), [2] * n
+    result = detach(h, EdgeColoring(10**5, (1, 2) * n), eta)
+    assert widths and max(widths) <= 3
+    assert result.g == detach(h, EdgeColoring(2, (1, 2) * n), eta).g
 
 
 @pytest.mark.slow

@@ -89,8 +89,8 @@ def test_pinned_builder_routes():
     assert _cert_digest(factorize_multipartite(2, 3, 1, (2, 2))) == (
         "09b267405c30ca24fb508f75d78ea3e85f797e707abf2b68726c06638e226870"
     )
-    # fused: even degree, odd n = 2, one-vertex parts, lambda = mu; then the two
-    # other routes, one part and lambda = 0 with odd degree
+    # fused: even degree, odd n = 2, one-vertex parts, lambda = mu and one part
+    # (lambda*K_n); then the one other route, lambda = 0 with odd degree
     shapes = ((3, 3, 2, 1), (2, 3, 3, 1), (1, 4, 2, 1), (2, 2, 2, 2), (5, 1, 2, 0), (3, 2, 0, 1))
     assert [_cert_digest(decompose_two_class(*shape)) for shape in shapes] == [
         "c26bc17f08b4026a93b844f65713303363e60905155a53504bc51bb5c869095b",
