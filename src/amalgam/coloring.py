@@ -9,24 +9,25 @@
   differing by 0 or 2 (Hilton, Combinatorica 2, 1982). The two-class
   construction colors its fused graph with it; ``--mode even``.
 
-Both run ``_peel``: classes top, ..., 2 are taken one at a time, each as
-a circulation on the pair multiplicities of the edges not yet colored,
-and class 1 takes the rest. A class costs O(P + V) for P distinct pairs
-and takes each pair's lowest uncolored edge ids. With c classes to go, a
-quota on x uncolored edges is an arc with the window [floor(x/c),
-ceil(x/c)]. Taking y leaves (x-y)/(c-1) in [q, q+1] for q = floor(x/c),
-so every class ends with q or q+1 of each quota and one pass is exact.
-x/c on every arc is a fractional circulation, so an integral one exists
-(None would be a bug). Classes above ``top`` (the edge count for bee,
-the largest half-degree for even) have windows [0, 1] only and are
-skipped. The two networks:
+Both run ``_peel``: each pair's edges are oriented once, by the engine,
+and classes top, ..., 2 are taken one at a time, each as a circulation
+on the multiplicities of the arcs not yet colored; class 1 takes the
+rest. A class costs O(P + V) for P distinct pairs and takes each arc's
+lowest uncolored edge ids. With c classes to go, a quota on x uncolored
+edges is an arc with the window [floor(x/c), ceil(x/c)]. Taking y leaves
+(x-y)/(c-1) in [q, q+1] for q = floor(x/c), so every class ends with q
+or q+1 of each quota and one pass is exact. x/c on every arc is a
+fractional circulation, so an integral one exists (None would be a bug).
+Classes above ``top`` (the edge count for bee, the largest half-degree
+for even) have windows [0, 1] only and are skipped. The two networks:
 
-* bee: the pair, star and total quotas of ``laminar``'s two families,
-  as an arc per pair (left to right), from the source to each left
-  vertex, from each right vertex to the sink, and from sink to source.
-  All edges of a pair lie in the same sets, so one arc per pair is exact.
-* even: the quota is half a vertex's degree, on an orientation with
-  in-degree half the degree at every vertex (``_even_class_counts``).
+* bee: the pair, star and total quotas of ``laminar``'s two families, as
+  an arc per pair (left end first), from the source to each left vertex,
+  from each right vertex to the sink, and from sink to source. All edges
+  of a pair lie in the same sets, so one arc per pair is exact.
+* even: the quota is a vertex's in-degree, half its degree on the arcs
+  of ``_even_orientation``. A class takes a circulation, so what it
+  leaves stays balanced and the one orientation serves every class.
 """
 
 from __future__ import annotations
@@ -42,27 +43,29 @@ class ColoringContractError(ValueError):
     """Input graph violates an engine's precondition."""
 
 
-def _peel(g: Multigraph, k: int, top: int, class_counts, verify, engine: str) -> EdgeColoring:
+def _peel(g: Multigraph, k: int, top: int, orient, class_counts, verify, engine) -> EdgeColoring:
     """The class loop of both engines, gated on the engine's verifier.
 
-    ``class_counts(uncolored, c)`` maps each pair to how many of its
-    ``uncolored[pair]`` edges class c takes; None is a failed circulation.
+    ``orient`` maps each pair's ascending edge ids to arcs' ascending ids,
+    once. ``class_counts(uncolored, c)`` maps each arc to how many of its
+    ``uncolored[arc]`` edges class c takes; None is a failed circulation.
     """
-    ids_of: dict[tuple[int, int], list[int]] = defaultdict(list)  # ascending edge ids
+    by_pair: dict[tuple[int, int], list[int]] = defaultdict(list)  # ascending edge ids
     for e, (a, b) in enumerate(g.edges):
-        ids_of[(a, b) if a <= b else (b, a)].append(e)
-    # a pair's uncolored edges are the last ``uncolored[pair]`` of its ids
-    uncolored = {pair: len(ids) for pair, ids in ids_of.items()}
+        by_pair[(a, b) if a <= b else (b, a)].append(e)
+    ids_of = orient(by_pair)
+    # an arc's uncolored edges are the last ``uncolored[arc]`` of its ids
+    uncolored = {arc: len(ids) for arc, ids in ids_of.items()}
     colors = [1] * g.edge_count
     for c in range(min(k, top), 1, -1):
         counts = class_counts(uncolored, c)
         if counts is None:
             raise RuntimeError(f"{engine} class {c} of k={k} has no circulation (bug)")
-        for pair, take in counts.items():
-            ids, t = ids_of[pair], uncolored[pair]
+        for arc, take in counts.items():
+            ids, t = ids_of[arc], uncolored[arc]
             for e in ids[len(ids) - t : len(ids) - t + take]:
                 colors[e] = c
-            uncolored[pair] = t - take
+            uncolored[arc] = t - take
     coloring = EdgeColoring(k, tuple(colors))
     if not verify(coloring):
         raise RuntimeError(f"{engine} coloring failed; this indicates a bug")
@@ -84,23 +87,20 @@ def _check_bipartite(g: Multigraph, left: set[int]) -> None:
 def _bee_class_counts(
     vertex_count: int, left: set[int], uncolored: dict[tuple[int, int], int], divisor: int
 ) -> dict[tuple[int, int], int] | None:
-    """How many of each pair's uncolored edges the next bee class takes."""
+    """How many of each pair's (left end first) uncolored edges the next bee class takes."""
     s, t = vertex_count, vertex_count + 1
-    pairs = [(a, b) if a in left else (b, a) for a, b in uncolored]  # left end first
     star = [0] * vertex_count
-    for (a, b), x in zip(pairs, uncolored.values()):
+    for (a, b), x in uncolored.items():
         star[a] += x
         star[b] += x
     ends = [v for v in range(vertex_count) if star[v]]
     # the pairs, an arc into each left end and out of each right end, the total
-    tails = [a for a, _ in pairs] + [s if v in left else v for v in ends] + [t]
-    heads = [b for _, b in pairs] + [v if v in left else t for v in ends] + [s]
+    tails = [a for a, _ in uncolored] + [s if v in left else v for v in ends] + [t]
+    heads = [b for _, b in uncolored] + [v if v in left else t for v in ends] + [s]
     sizes = [*uncolored.values(), *(star[v] for v in ends), sum(uncolored.values())]
     lo = [x // divisor for x in sizes]
     flow = feasible_circulation(t + 1, tails, heads, lo, [-(-x // divisor) for x in sizes])
-    if flow is None:
-        return None
-    return {pair: f for pair, f in zip(uncolored, flow) if f}
+    return None if flow is None else {pair: f for pair, f in zip(uncolored, flow) if f}
 
 
 def bee_coloring(g: Multigraph, left: set[int], k: int) -> EdgeColoring:
@@ -108,8 +108,12 @@ def bee_coloring(g: Multigraph, left: set[int], k: int) -> EdgeColoring:
     if k < 1:
         raise GraphUsageError("k must be >= 1")
     _check_bipartite(g, left)
+
+    def orient(ids_of):  # each pair left end first
+        return {(a, b) if a in left else (b, a): ids for (a, b), ids in ids_of.items()}
+
     counts = partial(_bee_class_counts, g.vertex_count, left)
-    return _peel(g, k, g.edge_count, counts, partial(verify_bee, g, left), "bee")
+    return _peel(g, k, g.edge_count, orient, counts, partial(verify_bee, g, left), "bee")
 
 
 def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
@@ -136,70 +140,62 @@ def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
 # Evenly-equitable coloring of even multigraphs
 
 
-def _even_class_counts(
-    vertex_count: int, uncolored: dict[tuple[int, int], int], divisor: int
-) -> dict[tuple[int, int], int] | None:
-    """How many of each pair's uncolored edges the next even class takes.
+def _even_orientation(vertex_count: int, ids_of: dict) -> dict[tuple[int, int], list[int]]:
+    """Each pair (a, b), a < b, gets its ids a->b, b->a alternately; a loop v->v.
 
-    Orients the uncolored edges so that every vertex has in-degree equal
-    to half its degree: half of a pair's edges each way, each loop v->v,
-    and each pair's odd leftover edge along an Euler circuit of the
-    leftovers (one edge per pair with an odd count, so an even simple
-    graph). One arc per oriented pair, capacity its count, and a vertex
-    arc whose window is [floor(h/divisor), ceil(h/divisor)] for in-degree
-    h. A circulation gives the class 2x edges at a vertex of throughput x.
+    An odd pair's last id is reversed if Hierholzer's walk over these
+    leftovers (an even simple graph) crosses it from b. So every vertex
+    has in-degree half its degree.
     """
-    arcs: dict[tuple[int, int], int] = {}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]  # (pair index, other end)
-    for i, ((a, b), t) in enumerate(uncolored.items()):
+    arcs: dict[tuple[int, int], list[int]] = {}
+    used: list[bool] = []
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]  # (leftover, other end)
+    for (a, b), ids in ids_of.items():
         if a == b:
-            if t:
-                arcs[a, a] = t
+            arcs[a, a] = ids
             continue
-        if t > 1:
-            arcs[a, b] = arcs[b, a] = t // 2
-        if t % 2:
-            adj[a].append((i, b))
-            adj[b].append((i, a))
-    # Hierholzer's walk from each start vertex in turn, backing up when stuck.
-    # A step is recorded as it is popped, and each circuit's steps then enter
-    # ``arcs`` in walk order, which is the circulation's arc order.
-    used = [False] * len(uncolored)
+        arcs[a, b], arcs[b, a] = ids[0::2], ids[1::2]
+        if len(ids) % 2:
+            adj[a].append((len(used), b))
+            adj[b].append((len(used), a))
+            used.append(False)
     unread = [iter(out) for out in adj]
     for start in range(vertex_count):
-        stack, popped = [(start, start)], []
+        stack = [start]
         while stack:
-            v = stack[-1][1]
+            v = stack[-1]
             for i, w in unread[v]:
                 if not used[i]:
                     used[i] = True
-                    stack.append((v, w))
+                    if w < v:  # crossed from b
+                        arcs[v, w].append(arcs[w, v].pop())
+                    stack.append(w)
                     break
             else:
-                popped.append(stack.pop())
-        popped.pop()  # the start's own (start, start)
-        for a, b in reversed(popped):
-            arcs[a, b] = arcs.get((a, b), 0) + 1
-    if not arcs:
-        return {}
+                stack.pop()
+    return arcs
+
+
+def _even_class_counts(
+    vertex_count: int, uncolored: dict[tuple[int, int], int], divisor: int
+) -> dict[tuple[int, int], int] | None:
+    """How many of each arc's uncolored edges the next even class takes.
+
+    A vertex arc has the window [floor(h/divisor), ceil(h/divisor)] for
+    in-degree h; a class of throughput x there has 2x edges at the vertex.
+    """
+    arcs = {arc: t for arc, t in uncolored.items() if t}
     half = [0] * vertex_count
     for (_, b), t in arcs.items():
         half[b] += t
     order = [v for v in range(vertex_count) if half[v]]
-    # node split: v_in = 2v, v_out = 2v+1; pair arcs first, in ``arcs`` order
+    # node split: v_in = 2v, v_out = 2v+1; the arcs first, in ``uncolored`` order
     tails = [2 * a + 1 for a, _ in arcs] + [2 * v for v in order]
     heads = [2 * b for _, b in arcs] + [2 * v + 1 for v in order]
     lo = [0] * len(arcs) + [half[v] // divisor for v in order]
     hi = [*arcs.values()] + [-(-half[v] // divisor) for v in order]
     flow = feasible_circulation(2 * vertex_count, tails, heads, lo, hi)
-    if flow is None:
-        return None
-    take: dict[tuple[int, int], int] = {}
-    for (a, b), f in zip(arcs, flow):
-        if f:
-            pair = (a, b) if a <= b else (b, a)
-            take[pair] = take.get(pair, 0) + f
-    return take
+    return None if flow is None else {arc: f for arc, f in zip(arcs, flow) if f}
 
 
 def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
@@ -210,9 +206,10 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
     for v, d in enumerate(degrees):
         if d % 2:
             raise ColoringContractError(f"vertex {v} has odd degree {d}")
+    orient = partial(_even_orientation, g.vertex_count)
     counts = partial(_even_class_counts, g.vertex_count)
     verify = partial(verify_evenly_equitable, g)
-    return _peel(g, k, max(degrees, default=0) // 2, counts, verify, "evenly-equitable")
+    return _peel(g, k, max(degrees, default=0) // 2, orient, counts, verify, "evenly-equitable")
 
 
 def verify_evenly_equitable(g: Multigraph, coloring: EdgeColoring) -> bool:

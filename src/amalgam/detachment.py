@@ -33,9 +33,9 @@ The verifier counts only the sibling pairs that occur in the output, as
 int keys: a pair that does not occur carries 0 edges, which its floor
 allows iff H's count is below the pair's share. So it costs O(E + V_G k)
 for E edges, V_G output vertices and k colors that occur, not a visit per
-pair. Both ``detach`` and the verifier size their color tables by the
-colors that occur (``_occurring_colors``), so a k far above them costs
-nothing.
+pair. ``detach``, the verifier and ``qualifying_colors`` size their color
+tables by the colors that occur (``_occurring_colors``), so a k far above
+them costs nothing.
 """
 
 from __future__ import annotations
@@ -124,13 +124,11 @@ def edge_component_count(edges) -> int:
 
 
 def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> list[int]:
-    """Colors j with d_{H(j)}(v)/eta(v) an even integer at every vertex."""
-    return _qualifying(color_degrees(h, coloring.colors, coloring.k), eta, coloring.k)
-
-
-def _qualifying(deg: list[list[int]], eta: Sequence[int], k: int) -> list[int]:
-    """The qualifying colors, read off H's color-degree table."""
-    return [j for j in range(1, k + 1) if all(row[j] % (2 * n) == 0 for row, n in zip(deg, eta))]
+    """Colors j with d_{H(j)}(v)/eta(v) an even integer at every vertex (absent j vacuously)."""
+    present, dense = _occurring_colors(coloring.colors)
+    passed = _qualifying_classes(color_degrees(h, dense, len(present)), eta, present, dense)
+    failed = set(present).difference(passed)
+    return [j for j in range(1, coloring.k + 1) if j not in failed]
 
 
 def _occurring_colors(colors: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -153,7 +151,10 @@ def _qualifying_classes(
     ``deg`` is H's color-degree table over the indices ``dense`` of
     ``_occurring_colors``, whose colors are ``present``.
     """
-    ids: dict[int, list[int]] = {j: [] for j in _qualifying(deg, eta, len(present))}
+    ids: dict[int, list[int]] = {
+        j: [] for j in range(1, len(present) + 1)
+        if all(row[j] % (2 * n) == 0 for row, n in zip(deg, eta))
+    }
     for e, j in enumerate(dense):
         if j in ids:
             ids[j].append(e)

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from collections import Counter
+from collections import defaultdict
 
 import pytest
 
@@ -191,36 +191,61 @@ def test_evenly_equitable_runs_one_small_circulation_per_class(monkeypatch):
     assert max(sizes) <= 2 * 3 + 2
 
 
-def test_even_split_orients_leftovers_along_the_reference_circuits(monkeypatch):
-    # a class's pair arcs, in order: each pair's halves and loops, then each
-    # odd leftover step of the reference circuits that opens a new arc
-    seen = []
-    solve = coloring_module.feasible_circulation
-
-    def capturing(num_nodes, tails, heads, lo, hi):
-        seen.append(list(zip(tails, heads, hi)))
-        return solve(num_nodes, tails, heads, lo, hi)
-
-    monkeypatch.setattr(coloring_module, "feasible_circulation", capturing)
+def test_even_orientation_halves_every_degree_along_the_reference_circuits():
+    # each edge on one arc, in ascending order, a pair's two directions within
+    # one of each other, in-degree half the degree, and each odd pair's last
+    # edge the way the reference circuits cross it
     rng = random.Random(17)
     for _ in range(300):
         g = random_even_graph(rng)
-        left = dict(Counter(g.edges))  # its edges are (min, max) pairs
-        arcs, odd = {}, {}
-        for i, ((a, b), t) in enumerate(left.items()):
-            if a == b:
-                arcs[a, a] = t
-                continue
-            if t > 1:
-                arcs[a, b] = arcs[b, a] = t // 2
-            if t % 2:
+        ids_of = defaultdict(list)
+        for e, (a, b) in enumerate(g.edges):
+            ids_of[min(a, b), max(a, b)].append(e)
+        arcs = coloring_module._even_orientation(g.vertex_count, dict(ids_of))
+        assert sorted(e for ids in arcs.values() for e in ids) == list(range(g.edge_count))
+        in_degree = [0] * g.vertex_count
+        for (a, b), ids in arcs.items():
+            assert ids == sorted(ids)
+            assert all(sorted(g.edges[e]) == sorted((a, b)) for e in ids)
+            in_degree[b] += len(ids)
+        assert [2 * h for h in in_degree] == list(g.degrees())
+        odd = {}
+        for i, ((a, b), ids) in enumerate(ids_of.items()):
+            if a != b:
+                assert abs(len(arcs[a, b]) - len(arcs[b, a])) <= 1
+            if a != b and len(ids) % 2:
                 odd[i] = (a, b)
-        for trail in euler_circuits(g.vertex_count, odd):
-            for _, a, b in trail:
-                arcs[a, b] = arcs.get((a, b), 0) + 1
-        seen.clear()
-        coloring_module._even_class_counts(g.vertex_count, left, 2)
-        assert seen[0][: len(arcs)] == [(2 * a + 1, 2 * b, t) for (a, b), t in arcs.items()]
+        steps = [step for trail in euler_circuits(g.vertex_count, odd) for step in trail]
+        assert len(steps) == len(odd)
+        for i, a, b in steps:
+            assert arcs[a, b][-1] == ids_of[odd[i]][-1]
+
+
+def test_even_engine_orients_once_and_its_classes_only_solve(monkeypatch):
+    # K_5 with every pair 9 times and 3 loops at each vertex: 15 distinct
+    # pairs, half-degree 21. One orientation per coloring, before the first
+    # class, and each class one circulation of at most 2P + V arcs
+    orientations, sizes = [], []
+    orient, solve = coloring_module._even_orientation, coloring_module.feasible_circulation
+
+    def counting_orient(vertex_count, ids_of):
+        orientations.append(len(sizes))  # circulations solved before it
+        return orient(vertex_count, ids_of)
+
+    def counting_solve(num_nodes, tails, heads, lo, hi):
+        sizes.append(len(tails))
+        return solve(num_nodes, tails, heads, lo, hi)
+
+    monkeypatch.setattr(coloring_module, "_even_orientation", counting_orient)
+    monkeypatch.setattr(coloring_module, "feasible_circulation", counting_solve)
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(v, v) for v in range(5)]
+    g = Multigraph(5, tuple(pairs[:10] * 9 + pairs[10:] * 3))
+    for k in (2, 20):
+        orientations.clear()
+        sizes.clear()
+        assert verify_evenly_equitable(g, evenly_equitable_coloring(g, k))
+        assert orientations == [0] and len(sizes) == k - 1
+        assert max(sizes) <= 2 * 15 + 5
 
 
 def test_evenly_equitable_failure_names_its_class(monkeypatch):

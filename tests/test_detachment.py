@@ -460,6 +460,46 @@ def test_detach_sizes_its_tables_by_the_colors_that_occur(monkeypatch):
     assert result.g == detach(h, EdgeColoring(2, (1, 2) * n), eta).g
 
 
+
+def test_qualifying_colors_sizes_its_table_by_the_colors_that_occur(monkeypatch):
+    # the ring of the test above at k = 10^5: colors 1 and 2 have degree 2 at
+    # every vertex (eta = 2) and fail, every absent color qualifies vacuously,
+    # and the color-degree table has columns 0, 1 and 2 only
+    widths = []
+    real_color_degrees = detachment.color_degrees
+
+    def recording_color_degrees(g, colors, k):
+        deg = real_color_degrees(g, colors, k)
+        widths.extend(len(row) for row in deg)
+        return deg
+
+    monkeypatch.setattr(detachment, "color_degrees", recording_color_degrees)
+    n = 20
+    edges = tuple((min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n) for _ in range(2))
+    h, eta = Multigraph(n, edges), [2] * n
+    assert qualifying_colors(h, EdgeColoring(10**5, (1, 2) * n), eta) == list(range(3, 10**5 + 1))
+    assert widths and max(widths) <= 3
+
+
+def test_qualifying_colors_matches_the_dense_table():
+    # every color 1..k, occurring or not, against a full V x (k+1) table
+    rng = random.Random(1985)
+    done = 0
+    while done < 300:
+        inst = random_detachment_instance(rng)
+        if inst is None:
+            continue
+        h, coloring, eta = inst
+        k = coloring.k + rng.randint(0, 3)
+        coloring = EdgeColoring(k, coloring.colors)
+        deg = [[0] * (k + 1) for _ in range(h.vertex_count)]
+        for (a, b), c in zip(h.edges, coloring.colors):
+            deg[a][c] += 1
+            deg[b][c] += 1
+        want = [j for j in range(1, k + 1) if all(row[j] % (2 * n) == 0 for row, n in zip(deg, eta))]
+        assert qualifying_colors(h, coloring, eta) == want
+        done += 1
+
 @pytest.mark.slow
 def test_beyond_bounds_stress():
     # fused vertices <= 8, eta <= 6, k <= 6: past the stress-suite bounds
