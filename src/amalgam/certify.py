@@ -177,6 +177,8 @@ def certificate_to_json(cert: DecompositionCertificate) -> dict:
 
 def host_from_json(obj: Mapping) -> Multigraph:
     """Host given either as an explicit edge list or as kind + parameters."""
+    if type(obj) is not dict:
+        raise GraphUsageError(f"host must be a JSON object, got {obj!r}")
     if "edges" in obj:
         return graph_from_json(obj)
     kind = obj.get("kind")

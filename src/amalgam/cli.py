@@ -298,10 +298,7 @@ def _cmd_detach(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        cert = certificate_from_json(_load_json(args.certificate))
-    except GraphUsageError as exc:
-        raise _UsageError(str(exc)) from exc
+    cert = certificate_from_json(_load_json(args.certificate))
     report = certify(cert)
     _dump(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_INFEASIBLE

@@ -63,7 +63,6 @@ class DecompositionRequest:
     mu: int = 0  # inter-part multiplicity
     r: tuple[int, ...] = ()  # factor degrees
     fair: bool = False
-    parts: tuple[int, ...] | None = None  # explicit part sizes, if any
     base_graph: Multigraph | None = None  # for embeddings
     base_coloring: EdgeColoring | None = None
     extra: int = 0  # number of vertices added by an embedding
@@ -115,20 +114,17 @@ def check_feasibility(req: DecompositionRequest) -> FeasibilityReport:
     if kind == "complete":
         return _complete_feasibility(req.n, req.lam)
     if kind == "multipartite":
-        return _multipartite_feasibility(req.n, req.m, req.lam, req.parts, req.fair)
+        return _multipartite_feasibility(req.n, req.m, req.lam, req.fair)
     if kind == "two-class":
-        return _two_class_feasibility(req.n, req.m, req.lam, req.mu, req.parts)
+        return _two_class_feasibility(req.n, req.m, req.lam, req.mu)
     if kind == "factorize-complete":
         return _factorization_feasibility(req.n, req.lam, req.r)
     if kind == "factorize-multipartite":
         # no vertices unless n, m >= 1: two negative sizes multiply to a positive count
         vertices = req.n * req.m if min(req.n, req.m) >= 1 else 0
-        out = _factorization_feasibility(
+        return _factorization_feasibility(
             vertices, req.lam, req.r, degree=req.lam * req.n * (req.m - 1)
         )
-        if req.parts is not None and len(set(req.parts)) > 1:
-            out.violations.append("(i) parts must have equal sizes")
-        return out
     if kind in ("embed-paths", "embed-factorization"):
         base, coloring = req.base_graph, req.base_coloring
         if base is None or coloring is None:
@@ -148,16 +144,13 @@ def _complete_feasibility(n: int, lam: int) -> FeasibilityReport:
     return FeasibilityReport()
 
 
-def _multipartite_feasibility(n, m, lam, parts, fair=False) -> FeasibilityReport:
+def _multipartite_feasibility(n, m, lam, fair=False) -> FeasibilityReport:
     if n < 1 or m < 1 or lam < 0:
         return FeasibilityReport(["n, m must be >= 1 and lambda >= 0"])
-    violations = []
-    if parts is not None and len(set(parts)) > 1:
-        violations.append("(i) parts must have equal sizes")
     # an odd degree lam*n*(m-1) makes m even, so a 1-factor always fits
     if fair and lam != 1:
-        violations.append("fair decomposition is only supported for multiplicity 1")
-    return FeasibilityReport(violations)
+        return FeasibilityReport(["fair decomposition is only supported for multiplicity 1"])
+    return FeasibilityReport()
 
 
 def _two_class_degree(n: int, m: int, lam: int, mu: int) -> int:
@@ -165,11 +158,9 @@ def _two_class_degree(n: int, m: int, lam: int, mu: int) -> int:
     return lam * (n - 1) + mu * n * (m - 1) if n * m else 0
 
 
-def _two_class_feasibility(n, m, lam, mu, parts) -> FeasibilityReport:
+def _two_class_feasibility(n, m, lam, mu) -> FeasibilityReport:
     if n < 1 or m < 1 or lam < 0 or mu < 0:
         return FeasibilityReport(["n, m must be >= 1 and lambda, mu >= 0"])
-    if parts is not None and len(set(parts)) > 1:
-        return FeasibilityReport(["(i) parts must have equal sizes"])
     # the fused route fits iff degree // 2 <= floor(mu*n^2*(m-1)/2), solved
     # for lambda below; n = 1 always fits, and m = 1 is lambda*K_n
     if 1 in (n, m):
@@ -551,7 +542,7 @@ def ham_decompose_multipartite(
 
     The fair variant is the same construction plus the stricter verdict.
     """
-    _ensure_feasible(_multipartite_feasibility(n, m, lam, None, fair))
+    _ensure_feasible(_multipartite_feasibility(n, m, lam, fair))
     r, roles = _hamiltonian_classes(
         lam * n * (m - 1), ROLE_FAIR_HAMILTONIAN if fair else ROLE_HAMILTONIAN
     )
@@ -645,7 +636,7 @@ def _two_class_certificate(
     n: int, m: int, lam: int, mu: int, odd: bool
 ) -> DecompositionCertificate:
     """Certified two-class decomposition; ``odd`` is the degree parity required."""
-    report = _two_class_feasibility(n, m, lam, mu, None)
+    report = _two_class_feasibility(n, m, lam, mu)
     degree = _two_class_degree(n, m, lam, mu)
     if degree % 2 != odd:
         report.violations.append(f"(ii) degree {degree} is {'even' if odd else 'odd'}")

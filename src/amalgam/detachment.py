@@ -57,7 +57,7 @@ from .multigraph import (
     union,
 )
 
-_LOOP = -1  # neighbor key for loop endpoints
+_LOOP = -1  # neighbor key for loop endpoints, and the loop cell's group: u itself
 
 
 class DetachmentContractError(ValueError):
@@ -71,7 +71,8 @@ class DetachmentError(RuntimeError):
     the split ``delta`` (its copies still to be made) and the qualifying
     ``color`` whose row broke a component (None if the quota windows
     admitted no circulation). All three are None when the verifier
-    rejected the output instead.
+    rejected the output instead, and ``violated`` lists its structural
+    errors and failed properties.
     """
 
     def __init__(
@@ -204,7 +205,8 @@ def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> Detachm
     result = DetachmentResult(g, coloring, AmalgamationSpec(tuple(eta), tuple(phi)), labels)
     report = verify_detachment(h, coloring, result)
     if not report.all_passed:
-        raise DetachmentError([name for name, ok in report.properties.items() if not ok])
+        failed = [name for name, ok in report.properties.items() if not ok]
+        raise DetachmentError(report.structural_errors + failed)
     return result
 
 
@@ -214,15 +216,17 @@ class _Star:
     Cells: u's endpoint slots by (color, neighbor), loops at u forming the
     cell (color, _LOOP); slots are (edge id, end) in edge-id order, a loop
     holding both of its ends. Groups: for each qualifying color at u, a
-    dict-keyed union-find over that color's edges away from u.
+    dict-keyed union-find over that color's edges away from u, each group
+    named by its root. A root keeps its name across a split unless the
+    split merges its group with another.
 
     Both are built once, from u's incident edges and the qualifying
     classes' edge lists. A split then only changes u's star: a moved slot
     turns its edge into (w, z), away from u, which leaves its cell and is
-    unioned into its color's groups; a loop with an end moved becomes the
-    edge (w, u), a slot of the new cell (color, w). So a split costs
-    O(deg u) plus its circulation, and building the star costs u's edges
-    plus its qualifying classes' edges.
+    unioned into its color's groups as the cell moves; a loop with an end
+    moved becomes the edge (w, u), a slot of the new cell (color, w). So
+    a split costs O(deg u) plus its circulation, and building the star
+    costs u's edges plus its qualifying classes' edges.
     """
 
     def __init__(self, u, endpoints, colors, incident, class_edges):
@@ -248,7 +252,6 @@ class _Star:
         if not self.cell_slots:
             return  # isolated vertex splits into isolated vertices
         endpoints = self.endpoints
-        joined: dict[int, list[tuple[int, int]]] = {}  # qualifying color -> moved edges
         # a cell's slots are parallel edges of one color, so which of them move
         # only permutes edge ids and never changes a later split
         for cell, take in _split_counts(self, delta).items():
@@ -267,14 +270,12 @@ class _Star:
                 for eid, end in slots[:take]:
                     endpoints[eid][end] = new_vertex
                 if c in self.groups:  # every moved slot is now an edge (new_vertex, z)
-                    joined.setdefault(c, []).append((new_vertex, z))
+                    union(self.groups[c], [(new_vertex, z)])
                 rest = slots[take:]
             if rest:
                 self.cell_slots[cell] = rest
             else:
                 del self.cell_slots[cell]
-        for c, pairs in joined.items():
-            union(self.groups[c], pairs)
 
 
 def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:
@@ -301,10 +302,12 @@ def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:
     re-checks this on the circulation as a guard.
 
     One walk over u's sorted cells collects the row and column sums and
-    each qualifying row's cells and group ids, read off the star's
-    union-finds, so a split costs O(deg u) plus its circulation. Nodes:
-    source 0, sink 1, the rows, the columns, then the groups; the arcs,
-    as ``feasible_circulation``'s parallel lists: rows, groups, cells,
+    each qualifying row's cells by group id, read off the star's
+    union-finds: a group is named by its root, and the loop cell, at most
+    one per color, by _LOOP, u's own group. So a split costs O(deg u) plus
+    its circulation. Nodes: source 0, sink 1, the rows, the columns, then
+    the groups in order of their first cell; the arcs, as
+    ``feasible_circulation``'s parallel lists: rows, groups, cells,
     columns, total. Raises ``DetachmentError`` naming the split: with no
     color if the windows admit no circulation, or with the first
     qualifying color whose row breaks a component. The argument above
@@ -316,25 +319,18 @@ def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:
     rows: dict[int, int] = {}  # color -> slots at u
     cols: dict[int, int] = {}  # neighbor -> slots at u
     cell_tails: list[int] = []  # each cell's row node, or its group's node below
-    # qualifying color -> its cells as (neighbor, index), neighbor -> group id, cells per group
-    quals: dict[int, tuple[list[tuple[int, int]], dict[int, int], list[list[int]]]] = {}
+    quals: dict[int, dict[int, list[int]]] = {}  # qualifying color -> group -> its cells
     for i, ((c, z), size) in enumerate(zip(cells, sizes)):
         if c not in rows:  # the cells come color by color
             rows[c] = 0
             parent = groups.get(c)  # c's union-find, if c qualifies
             if parent is not None:
-                row, group_of, members = quals[c] = ([], {}, [])
-                roots: dict[int, int] = {}  # c's group roots -> group ids
+                members = quals[c] = {}
         rows[c] += size
         cols[z] = cols.get(z, 0) + size
         cell_tails.append(1 + len(rows))
         if parent is not None:
-            row.append((z, i))
-            if z != _LOOP:
-                group = group_of[z] = roots.setdefault(find(parent, z), len(roots))
-                if group == len(members):
-                    members.append([])
-                members[group].append(i)
+            members.setdefault(z if z == _LOOP else find(parent, z), []).append(i)
 
     col_node = {z: n for n, z in enumerate(sorted(cols), 2 + len(rows))}
     node = 2 + len(rows) + len(cols)
@@ -343,8 +339,8 @@ def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:
     tails = [0] * len(rows)
     heads = list(range(2, 2 + len(rows)))
     # a group's cells leave from one node under its color's row
-    for _, _, members in quals.values():
-        for group in members:
+    for members in quals.values():
+        for group in members.values():
             if len(group) > 1:
                 sums.append(sum([sizes[i] for i in group]))
                 tails.append(cell_tails[group[0]])
@@ -361,32 +357,33 @@ def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:
     if flow is None:
         raise DetachmentError(["construction"], vertex=star.u, delta=delta)
     takes = flow[first : first + len(cells)]
-    for j, (row, group_of, _) in quals.items():
-        if not keeps_components(group_of, [(z, takes[i], sizes[i]) for z, i in row]):
+    for j, members in quals.items():
+        row = [(group, takes[i], sizes[i]) for group, ids in members.items() for i in ids]
+        if not keeps_components(row):
             raise DetachmentError(["construction"], vertex=star.u, delta=delta, color=j)
     return dict(zip(cells, takes))
 
 
-def keeps_components(group_of: dict[int, int], row) -> bool:
+def keeps_components(row) -> bool:
     """Would moving ``row`` of a qualifying color's slots keep its component count?
 
-    ``row`` holds (neighbor, slots moved, slots) per cell of the color at
-    u, and ``group_of`` maps each neighbor to its group. Components away
-    from u stay as they are and u joins all its groups, so the count is
-    kept iff the quotient graph on the groups, u and the fresh vertex w is
-    connected once the row has moved. It has an edge from w to each group
-    that moves a slot and from u to each group that keeps one, loops at u
-    being u's own group: parallel edges never change a component count.
+    ``row`` holds (group, slots moved, slots) per cell of the color at u.
+    A group is named by its root in the star's union-find, a vertex, so
+    >= 0; the loop cell's group is _LOOP, which stands for u itself.
+    Components away from u stay as they are and u joins all its groups,
+    so the count is kept iff the quotient graph on the groups, u and the
+    fresh vertex w is connected once the row has moved. It has an edge
+    from w to each group that moves a slot and from u to each group that
+    keeps one: parallel edges never change a component count.
     """
-    u, w = -1, -2  # group ids are >= 0
+    w = -2  # neither a root nor _LOOP
     moved: dict[int, int] = {}  # group -> w
     kept: dict[int, int] = {}  # group -> u
-    for z, take, size in row:
-        group = u if z == _LOOP else group_of[z]
+    for group, take, size in row:
         if take:
             moved[group] = w
         if take < size:
-            kept[group] = u
+            kept[group] = _LOOP
     return edge_component_count([*moved.items(), *kept.items()]) == 1
 
 

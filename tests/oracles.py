@@ -260,26 +260,27 @@ def _rebuilt_row_keeps_components(endpoints, colors, u, w, cell_sizes, j, row):
     return _edge_components(after) == _edge_components(before)
 
 
-def _per_cell_keeps_components(group_of, row):
+def _per_cell_keeps_components(row):
     """Oracle: the split guard's quotient graph with one or two edges per cell.
 
-    This is the guard before it merged parallel edges: a moved slot gives
-    its cell an edge from the fresh vertex w to the cell's group, a kept
-    slot an edge from u, and the loop cell the edge u-w if it moves an
-    endpoint, else a loop at u. Its components are counted with the dense
-    union-find, over the vertices some edge touches.
+    ``row`` holds (group, slots moved, slots) per cell, the loop cell's
+    group being _LOOP. This is the guard before it merged parallel edges:
+    a moved slot gives its cell an edge from the fresh vertex w to the
+    cell's group, a kept slot an edge from u, and the loop cell the edge
+    u-w if it moves an endpoint, else a loop at u. Its components are
+    counted with the dense union-find, over the vertices some edge touches.
     """
-    u = 1 + max(group_of.values(), default=-1)
+    u = 1 + max([group for group, _, _ in row if group != _LOOP], default=-1)
     w = u + 1
     edges = []
-    for z, take, size in row:
-        if z == _LOOP:
+    for group, take, size in row:
+        if group == _LOOP:
             edges.append((u, w) if take else (u, u))
             continue
         if take:
-            edges.append((w, group_of[z]))
+            edges.append((w, group))
         if take < size:
-            edges.append((u, group_of[z]))
+            edges.append((u, group))
     root = _dense_roots(w + 1, edges)
     return len({root(x) for pair in edges for x in pair}) == 1
 

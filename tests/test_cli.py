@@ -82,6 +82,16 @@ def test_verify_failing_certificate_exit_2(tmp_path, capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("host", [[1, 2], [], "complete", 3, None])
+def test_verify_host_that_is_not_an_object_is_usage_error(tmp_path, capsys, host):
+    f = tmp_path / "host.json"
+    f.write_text(json.dumps({"host": host, "classes": []}))
+    assert run(["verify", str(f)]) == 64
+    assert capsys.readouterr().err == (
+        f"usage error: malformed certificate JSON: host must be a JSON object, got {host!r}\n"
+    )
+
+
 def test_byte_identical_output_for_same_argv(capsys):
     argv = ["decompose", "two-class", "--n", "2", "--m", "3", "--lambda", "2",
             "--mu", "1"]

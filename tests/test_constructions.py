@@ -356,14 +356,6 @@ def test_two_class_degenerate_redirects():
         decompose_two_class(3, 2, 2, 0)
 
 
-def test_check_feasibility_unequal_parts():
-    report = check_feasibility(
-        DecompositionRequest("two-class", n=2, m=2, lam=1, mu=2, parts=(2, 3))
-    )
-    assert not report.feasible
-    assert any("(i)" in v for v in report.violations)
-
-
 def test_check_feasibility_example_grid():
     assert check_feasibility(
         DecompositionRequest("two-class", n=2, m=3, lam=2, mu=1)

@@ -9,6 +9,7 @@ from amalgam import (
     AmalgamationSpec,
     DetachmentContractError,
     DetachmentError,
+    DetachmentReport,
     DetachmentResult,
     EdgeColoring,
     Multigraph,
@@ -267,7 +268,7 @@ def _on_every_split(monkeypatch, check):
     """Call check(star, delta, counts, guarded, colors, quals) at every split, inside the real detach.
 
     ``counts`` is the split's move count per cell and ``guarded`` lists the
-    (group_of, row) arguments that the component guard was given.
+    rows that the component guard was given.
     """
     real_counts, real_guard = detachment._split_counts, detachment.keeps_components
     real_quals = detachment._qualifying_classes
@@ -280,9 +281,9 @@ def _on_every_split(monkeypatch, check):
         call["quals"] = list(class_edges)
         return class_edges
 
-    def guard(group_of, row):
-        call["guarded"].append((group_of, row))
-        return real_guard(group_of, row)
+    def guard(row):
+        call["guarded"].append(row)
+        return real_guard(row)
 
     def split_counts(star, delta):
         call["guarded"] = []
@@ -303,14 +304,25 @@ def test_split_state_matches_rescan_oracle(monkeypatch):
         # the same cells with their slots in the same order, counted in sorted order
         assert sorted(star.cell_slots.items()) == sorted(cells.items())
         assert list(counts) == sorted(cells)
-        # the guard saw each qualifying color at u once, in order, with its groups and its row
-        assert guarded == [
-            (
-                groups[j],
-                [(z, counts[(c, z)], len(cells[(c, z)])) for c, z in sorted(cells) if c == j],
-            )
-            for j in groups
-        ]
+        # the guard saw each qualifying color at u once, in order, with its row: the
+        # cells group by group, each group where its first cell is, the loop cell as _LOOP
+        assert len(guarded) == len(groups)
+        for row, (j, group_of) in zip(guarded, groups.items()):
+            cells_of: dict = {}
+            for c, z in sorted(cells):
+                if c == j:
+                    cells_of.setdefault(_LOOP if z == _LOOP else group_of[z], []).append(z)
+            want = [
+                (group, counts[(j, z)], len(cells[(j, z)]))
+                for group, zs in cells_of.items()
+                for z in zs
+            ]
+            assert [cell[1:] for cell in row] == [cell[1:] for cell in want]
+            # the same partition into groups: the star's roots name the rescanned
+            # groups one to one, and only the loop cell is named _LOOP
+            names = {(a[0], b[0]) for a, b in zip(want, row)}
+            assert len(names) == len({a for a, _ in names}) == len({b for _, b in names})
+            assert all((a == _LOOP) == (b == _LOOP) for a, b in names)
         splits.append(star.u)
 
     _on_every_split(monkeypatch, check)
@@ -340,10 +352,11 @@ def test_component_test_matches_rebuilt_edge_lists(monkeypatch):
             row_cells = [z for c, z in sorted(cells) if c == j]
             sizes = [cell_sizes[(j, z)] for z in row_cells]
             windows = [range(size // delta, -(-size // delta) + 1) for size in sizes]
+            names = [_LOOP if z == _LOOP else group_of[z] for z in row_cells]
             for values in itertools.product(*windows):
                 row = dict(zip(row_cells, values))
                 assert keeps_components(
-                    group_of, list(zip(row_cells, values, sizes))
+                    list(zip(names, values, sizes))
                 ) == _rebuilt_row_keeps_components(
                     endpoints, colors, star.u, w, cell_sizes, j, row,
                 ), (endpoints, colors, star.u, delta, j, row)
@@ -370,15 +383,28 @@ def test_guard_matches_per_cell_oracle_on_every_small_row():
     verdicts = Counter()
     for m in range(5):
         for chosen in itertools.combinations_with_replacement(cells, m):
-            group_of = {z: g for z, (g, _, _) in enumerate(chosen)}
-            if set(group_of.values()) != set(range(len(set(group_of.values())))):
+            used = {g for g, _, _ in chosen}
+            if used != set(range(len(used))):
                 continue
             for loop in loops:
-                row = loop + [(z, take, size) for z, (_, size, take) in enumerate(chosen)]
-                verdict = keeps_components(group_of, row)
-                assert verdict == _per_cell_keeps_components(group_of, row), (group_of, row)
+                row = loop + [(g, take, size) for g, size, take in chosen]
+                verdict = keeps_components(row)
+                assert verdict == _per_cell_keeps_components(row), row
                 verdicts[verdict] += 1
     assert verdicts == {True: 69_863, False: 3_197}
+
+
+def test_rejected_structure_names_what_broke(monkeypatch):
+    h = Multigraph(1, ((0, 0),) * 3)
+    coloring = EdgeColoring(1, (1, 1, 1))
+    rejected = DetachmentReport(False, ["edge count changed"], {})
+    monkeypatch.setattr(detachment, "verify_detachment", lambda *args: rejected)
+    with pytest.raises(DetachmentError) as info:
+        detach(h, coloring, [3])
+    err = info.value
+    assert err.violated == ["edge count changed"]
+    assert (err.vertex, err.delta, err.color) == (None, None, None)
+    assert str(err) == "detachment failed properties: edge count changed"
 
 
 def test_complete_41_certifies():
@@ -424,7 +450,7 @@ def test_failed_search_names_vertex_split_and_color(monkeypatch):
     h = Multigraph(1, ((0, 0),) * 3)
     coloring = EdgeColoring(1, (1, 1, 1))
     # the per-split guard rejects a qualifying color's row
-    monkeypatch.setattr(detachment, "keeps_components", lambda group_of, row: False)
+    monkeypatch.setattr(detachment, "keeps_components", lambda row: False)
     with pytest.raises(DetachmentError) as info:
         detach(h, coloring, [3])
     err = info.value
