@@ -4,7 +4,8 @@ A certificate states a host graph, optional part structure, and a list of
 color classes with claimed roles. ``certify`` re-derives every verdict
 from scratch: exact edge-multiset partition, per-class regularity,
 connectivity via union-find for the Hamiltonian roles, and part-pair
-fairness where claimed. Pairs are counted as int keys (``pair_keys``).
+fairness where claimed. Pairs are counted as int keys (``pair_keys``),
+and only the part pairs that occur, so fairness costs a class its edges.
 """
 
 from __future__ import annotations
@@ -131,14 +132,11 @@ def _check_class(idx: int, claim: ClassClaim, s: int, part_of) -> ClassVerdict:
             if part_of is None:
                 return ClassVerdict(idx, claim.role, False, "fairness claimed without parts")
             num_parts = max(part_of.values()) + 1
-            ends = ((part_of[a], part_of[b]) for a, b in claim.edges)
-            counts = Counter(pair_keys(ends, num_parts))  # same-part keys are never read
-            all_pairs = [
-                counts[p * num_parts + q]
-                for p in range(num_parts)
-                for q in range(p + 1, num_parts)
-            ]
-            if all_pairs and max(all_pairs) - min(all_pairs) > 1:
+            cross = [(part_of[a], part_of[b]) for a, b in claim.edges if part_of[a] != part_of[b]]
+            counts = Counter(pair_keys(cross, num_parts)).values()
+            # a part pair that does not occur carries 0, the least count unless all occur
+            all_occur = len(counts) == num_parts * (num_parts - 1) // 2
+            if counts and max(counts) - (min(counts) if all_occur else 0) > 1:
                 return ClassVerdict(idx, claim.role, False, "part-pair counts not within 1")
         return ClassVerdict(idx, claim.role, True)
     if claim.role == ROLE_ONE_FACTOR:

@@ -29,13 +29,12 @@ A per-split guard re-checks the component counts, and the output is
 gated by ``verify_detachment``; a split that fails raises
 ``DetachmentError`` naming its vertex, split and color.
 
-The verifier counts only the sibling pairs that occur in the output, as
-int keys: a pair that does not occur carries 0 edges, which its floor
-allows iff H's count is below the pair's share. So it costs O(E + V_G k)
-for E edges, V_G output vertices and k colors that occur, not a visit per
-pair. ``detach``, the verifier and ``qualifying_colors`` size their color
-tables by the colors that occur (``_occurring_colors``), so a k far above
-them costs nothing.
+The qualifying test and the verifier count only the keys that occur, as
+ints: (vertex, color) ends and vertex pairs, the latter also per color.
+A key that does not occur carries 0, which a floor allows iff its share
+of H's count rounds down to 0, and a vertex without a color is no
+obstacle to its qualifying. So both cost O(E) for E edges, whatever k
+is and however many colors occur.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import le
 from typing import Sequence
 
 from .flows import feasible_circulation
@@ -51,7 +49,6 @@ from .multigraph import (
     AmalgamationSpec,
     EdgeColoring,
     Multigraph,
-    color_degrees,
     find,
     pair_keys,
     union,
@@ -126,48 +123,52 @@ def edge_component_count(edges) -> int:
 
 def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> list[int]:
     """Colors j with d_{H(j)}(v)/eta(v) an even integer at every vertex (absent j vacuously)."""
-    present, dense = _occurring_colors(coloring.colors)
-    passed = _qualifying_classes(color_degrees(h, dense, len(present)), eta, present, dense)
-    failed = set(present).difference(passed)
+    _check_contract(h, coloring, eta)
+    failed = set(coloring.colors).difference(_qualifying_classes(h, coloring.colors, eta))
     return [j for j in range(1, coloring.k + 1) if j not in failed]
 
 
-def _occurring_colors(colors: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The colors that occur, ascending, and each edge's index among them from 1.
+def _check_contract(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int], loops=()) -> None:
+    """Raise ``DetachmentContractError`` unless eta and the coloring fit H.
 
-    Tables over these indices cost the colors that occur, not k. The map
-    keeps the order of the colors, and a color with no edge qualifies
-    vacuously and has no components, so skipping it changes no verdict.
+    Vertices are checked in order; with ``loops``, one with loops needs eta >= 2.
     """
-    present = sorted(set(colors))
-    index = dict(zip(present, range(1, len(present) + 1)))
-    return present, [index[c] for c in colors]
-
-
-def _qualifying_classes(
-    deg: list[list[int]], eta: Sequence[int], present: list[int], dense: list[int]
-) -> dict[int, list[int]]:
-    """Each qualifying color that occurs -> its edge ids, ascending.
-
-    ``deg`` is H's color-degree table over the indices ``dense`` of
-    ``_occurring_colors``, whose colors are ``present``.
-    """
-    ids: dict[int, list[int]] = {
-        j: [] for j in range(1, len(present) + 1)
-        if all(row[j] % (2 * n) == 0 for row, n in zip(deg, eta))
-    }
-    for e, j in enumerate(dense):
-        if j in ids:
-            ids[j].append(e)
-    return {present[j - 1]: edge_ids for j, edge_ids in ids.items()}
-
-
-def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> DetachmentResult:
-    """Loopless eta-detachment satisfying the degree/multiplicity/component quotas."""
     if len(eta) != h.vertex_count:
         raise DetachmentContractError("eta must be total on V(H)")
     if len(coloring.colors) != h.edge_count:
         raise DetachmentContractError("coloring does not match H")
+    for v, n in enumerate(eta):
+        if n < 1:
+            raise DetachmentContractError(f"eta({v}) must be positive")
+        if n == 1 and loops and loops[v]:
+            raise DetachmentContractError(f"eta({v})=1 but vertex {v} has loops")
+
+
+def _end_keys(edges, colors: Sequence[int], base: list[int]) -> list[int]:
+    """Each edge's two (vertex, color) ends, in order, as base[v] + c; a loop's vertex twice."""
+    return [base[v] + c for pair, c in zip(edges, colors) for v in pair]
+
+
+def _qualifying_classes(h: Multigraph, colors: Sequence[int], eta) -> dict[int, list[int]]:
+    """Each qualifying color that occurs -> its edge ids, ascending, in color order.
+
+    A vertex without j passes, so j fails iff some (v, j) end that occurs
+    has a count not divisible by 2 eta(v); a loop counts twice. A color
+    with no edge qualifies vacuously and has no components, so leaving it
+    out changes no verdict.
+    """
+    scale = max(colors, default=0) + 1
+    ends = Counter(_end_keys(h.edges, colors, [v * scale for v in range(h.vertex_count)]))
+    failed = {key % scale for key, d in ends.items() if d % (2 * eta[key // scale])}
+    ids: dict[int, list[int]] = {c: [] for c in sorted(set(colors).difference(failed))}
+    for e, c in enumerate(colors):
+        if c in ids:
+            ids[c].append(e)
+    return ids
+
+
+def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> DetachmentResult:
+    """Loopless eta-detachment satisfying the degree/multiplicity/component quotas."""
     # one pass: each vertex's edges and loops
     incident: list[list[int]] = [[] for _ in range(h.vertex_count)]
     loops = [0] * h.vertex_count
@@ -177,15 +178,10 @@ def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> Detachm
             incident[b].append(eid)
         else:
             loops[a] += 1
-    for v, n in enumerate(eta):
-        if n < 1:
-            raise DetachmentContractError(f"eta({v}) must be positive")
-        if n == 1 and loops[v]:
-            raise DetachmentContractError(f"eta({v})=1 but vertex {v} has loops")
+    _check_contract(h, coloring, eta, loops)
 
     colors = coloring.colors
-    present, dense = _occurring_colors(colors)
-    class_edges = _qualifying_classes(color_degrees(h, dense, len(present)), eta, present, dense)
+    class_edges = _qualifying_classes(h, colors, eta)
     endpoints = [list(pair) for pair in h.edges]
     phi = list(range(h.vertex_count))
     labels: dict[int, list[int]] = {v: [] for v in range(h.vertex_count)}
@@ -220,8 +216,8 @@ class _Star:
     named by its root. A root keeps its name across a split unless the
     split merges its group with another.
 
-    Both are built once, from u's incident edges and the qualifying
-    classes' edge lists. A split then only changes u's star: a moved slot
+    Both are built once, from u's incident edges and the edge lists of its
+    qualifying colors. A split then only changes u's star: a moved slot
     turns its edge into (w, z), away from u, which leaves its cell and is
     unioned into its color's groups as the cell moves; a loop with an end
     moved becomes the edge (w, u), a slot of the new cell (color, w). So
@@ -242,10 +238,10 @@ class _Star:
                 slots = [(eid, 0)] if a == u else [(eid, 1)]
                 cell = (colors[eid], b if a == u else a)
             self.cell_slots.setdefault(cell, []).extend(slots)
-        at_u = {c for c, _ in self.cell_slots}
-        self.groups: dict[int, dict[int, int]] = {j: {} for j in class_edges if j in at_u}
-        for j, parent in self.groups.items():
-            union(parent, [endpoints[eid] for eid in class_edges[j] if u not in endpoints[eid]])
+        # u's own colors, so the star never reads a qualifying class away from u
+        self.groups = {c: {} for c in {c for c, _ in self.cell_slots} if c in class_edges}
+        for c, parent in self.groups.items():
+            union(parent, [endpoints[eid] for eid in class_edges[c] if u not in endpoints[eid]])
 
     def split(self, delta: int, new_vertex: int) -> None:
         """Move a quota share of u's endpoint slots onto ``new_vertex``."""
@@ -396,16 +392,12 @@ def verify_detachment(
 ) -> DetachmentReport:
     """Exact evaluation of the seven detachment properties plus structure.
 
-    A pair {a, b} of a graph on V vertices is the int key min*V + max, and a
-    pair of color c is key*(k+1) + c. A1/A2 hold each vertex's degrees between
-    its image's floor and ceil rows, d // eta and -(-d // eta). For A3-A6,
-    every sibling pair of (u, v) must carry want/share of H's u-v edges, per
-    color and over all colors, up to rounding: ``share`` is eta(u)eta(v), or
-    C(eta(u), 2) for loops. Only the pairs that occur in G are counted, and
-    each distinct (H key, count) is tested once. A pair that does not occur
-    carries 0, which the floor allows iff want < share, so an H key with
-    want >= share must be met by all its sibling pairs. O(E + V_G k) for the
-    k colors that occur.
+    A1 holds each vertex's degree within its image's floor and ceil, d // eta
+    and -(-d // eta). A2-A6 count int keys with ``_failing_pairs``: A2 the
+    (vertex, color) ends v*(k+1) + c, shared by eta(u) copies of u, and
+    A3-A6 the pairs {a, b} on V vertices, min*V + max, over all colors or
+    per color, key*(k+1) + c, shared by the eta(u)eta(v) sibling pairs of
+    (u, v), or C(eta(u), 2) for a loop. O(E) for E edges.
     """
     errors = []
     g, spec = result.g, result.spec
@@ -434,30 +426,33 @@ def verify_detachment(
     if errors:
         return DetachmentReport(False, errors, {})
 
-    k, colors = coloring.k, coloring.colors
+    scale, colors = coloring.k + 1, coloring.colors  # a color key is key * scale + c
     props = dict.fromkeys(("A1", "A2", "A3", "A4", "A5", "A6", "A7"), True)
     details: dict[str, str] = {}
 
-    # degree tables over the colors that occur: an absent color is 0 on both sides
-    present, dense = _occurring_colors(colors)
-    deg_h = color_degrees(h, dense, len(present))
-    lows = [[d // n for d in row] for row, n in zip(deg_h, eta)]
-    highs = [[-(-d // n) for d in row] for row, n in zip(deg_h, eta)]
-    totals = [(sum(row) // n, -(-sum(row) // n)) for row, n in zip(deg_h, eta)]
-    for u, row in zip(phi, color_degrees(g, dense, len(present))):
-        props["A1"] &= totals[u][0] <= sum(row) <= totals[u][1]
-        props["A2"] &= all(map(le, lows[u], row)) and all(map(le, row, highs[u]))
+    deg_h = h.degrees()
+    props["A1"] = all(
+        deg_h[u] // eta[u] <= d <= -(-deg_h[u] // eta[u]) for u, d in zip(phi, g.degrees())
+    )
+    # G's ends map onto H's through phi of G's own ends, which may come in either order
+    h_ends = _end_keys(g.edges, colors, [u * scale for u in phi])
+    g_ends = _end_keys(g.edges, colors, [x * scale for x in range(g.vertex_count)])
+    props["A2"] = not _failing_pairs(h_ends, g_ends, eta, scale)
 
+    shares = {}  # pair key of H -> its sibling pairs in G
+    for key in set(keys):
+        u, v = divmod(key, nv)
+        shares[key] = math.comb(eta[u], 2) if u == v else eta[u] * eta[v]
     # loops (A3, A4) or pairs (A5, A6), over all colors or per color
     g_keys = pair_keys(g.edges, g.vertex_count)
-    for loop in _failing_pairs(keys, g_keys, eta, 1):
-        props["A3" if loop else "A5"] = False
-    color_keys = [key * (k + 1) + c for key, c in zip(keys, colors)]
-    g_color_keys = [key * (k + 1) + c for key, c in zip(g_keys, colors)]
-    for loop in _failing_pairs(color_keys, g_color_keys, eta, k + 1):
-        props["A4" if loop else "A6"] = False
+    for key in _failing_pairs(keys, g_keys, shares, 1):
+        props["A3" if key // nv == key % nv else "A5"] = False
+    color_keys = [key * scale + c for key, c in zip(keys, colors)]
+    g_color_keys = [key * scale + c for key, c in zip(g_keys, colors)]
+    for key in _failing_pairs(color_keys, g_color_keys, shares, scale):
+        props["A4" if key // nv == key % nv else "A6"] = False
 
-    for j, ids in _qualifying_classes(deg_h, eta, present, dense).items():
+    for j, ids in _qualifying_classes(h, colors, eta).items():
         # parallel edges never change a component count
         ch = edge_component_count({h.edges[e] for e in ids})
         cg = edge_component_count([g.edges[e] for e in ids])
@@ -468,18 +463,23 @@ def verify_detachment(
     return DetachmentReport(True, [], props, details)
 
 
-def _failing_pairs(h_keys: list[int], g_keys: list[int], eta, scale: int) -> set[bool]:
-    """Loop or not, for each failing H key: a pair key, or pair key * scale + color."""
+def _failing_pairs(h_keys: list[int], g_keys: list[int], shares, scale: int) -> set[int]:
+    """key // scale of each H key whose keys in G break their windows.
+
+    G's key i lies over H's key i. An H key counted n times has
+    ``shares[key // scale]`` keys over it in G, each to be counted n/share
+    up to rounding; each distinct (H key, count) that occurs in G is tested
+    once. A key that does not occur in G carries 0, which the floor allows
+    iff n < share.
+    """
     want = Counter(h_keys)
     got = Counter(g_keys)
-    to_h = dict(zip(g_keys, h_keys))  # edge e maps G's pair onto H's
-    met = Counter(to_h.values())  # H key -> its sibling pairs that occur in G
-    share, loop = {}, {}
-    for key in want:
-        u, v = divmod(key // scale, len(eta))
-        share[key], loop[key] = math.comb(eta[u], 2) if u == v else eta[u] * eta[v], u == v
-    failing = {key for key, n in want.items() if n >= share[key] and met[key] != share[key]}
+    to_h = dict(zip(g_keys, h_keys))
+    met = Counter(to_h.values())  # H key -> its keys that occur in G
+    # an H key with n >= share must be met by all its keys in G
+    failing = {key for key, n in want.items() if n >= shares[key // scale] != met[key]}
     for key, count in set(zip(map(to_h.__getitem__, got), got.values())):
-        if not want[key] // share[key] <= count <= -(-want[key] // share[key]):
+        n, share = want[key], shares[key // scale]
+        if not n // share <= count <= -(-n // share):
             failing.add(key)
-    return {loop[key] for key in failing}
+    return {key // scale for key in failing}

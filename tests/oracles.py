@@ -3,15 +3,16 @@
 Each oracle recomputes what a library kernel computes, the slow or the
 older way, and shares no state with it: per-vertex counts by a scan of
 every edge, host graphs built pair by pair, a pairwise detachment
-verifier with float windows, the tuple-keyed certificate checker, split
-state rescanned from scratch, the recursive Dinic that routed every arc,
-the augmenting-path class-to-degree matcher, the loop-aware Euler circuit
-routine, the dense bee and evenly-equitable verifiers, the fused two-class
-graph laid out through per-pair deques of edge ids, and a pairwise
-laminarity check with the random laminar families it is run on. Color
-degrees are counted on a dense table of their own, and components with a
-dense union-find of their own. The library keeps one kernel per job; the
-second way of doing it lives here and only here.
+verifier with float windows, the tuple-keyed certificate checker and its
+fairness scan over every part pair, split state rescanned from scratch,
+the recursive Dinic that routed every arc, the augmenting-path
+class-to-degree matcher, the loop-aware Euler circuit routine, the dense
+bee and evenly-equitable verifiers, the fused two-class graph laid out
+through per-pair deques of edge ids, and a pairwise laminarity check
+with the random laminar families it is run on. Color degrees are counted
+on a dense table of their own, and components with a dense union-find of
+their own. The library keeps one kernel per job; the second way of doing
+it lives here and only here.
 """
 
 import math
@@ -377,16 +378,7 @@ def _reference_class(idx, claim, s, part_of):
         if role == ROLE_FAIR_HAMILTONIAN:
             if part_of is None:
                 return ClassVerdict(idx, role, False, "fairness claimed without parts")
-            counts: Counter = Counter()
-            for a, b in claim.edges:
-                pa, pb = part_of[a], part_of[b]
-                if pa != pb:
-                    counts[(min(pa, pb), max(pa, pb))] += 1
-            num_parts = max(part_of.values()) + 1
-            all_pairs = [
-                counts.get((p, q), 0) for p in range(num_parts) for q in range(p + 1, num_parts)
-            ]
-            if all_pairs and max(all_pairs) - min(all_pairs) > 1:
+            if not _dense_fair(claim.edges, part_of):
                 return ClassVerdict(idx, role, False, "part-pair counts not within 1")
         return ClassVerdict(idx, role, True)
     if role == ROLE_ONE_FACTOR:
@@ -400,6 +392,20 @@ def _reference_class(idx, claim, s, part_of):
             return ClassVerdict(idx, role, False, f"not {claim.r}-regular spanning")
         return ClassVerdict(idx, role, True)
     return ClassVerdict(idx, role, False, f"unknown role {role!r}")
+
+
+def _dense_fair(edges, part_of):
+    """Oracle: fairness by a count for every part pair, C(p, 2) of them, occurring or not."""
+    counts: Counter = Counter()
+    for a, b in edges:
+        pa, pb = part_of[a], part_of[b]
+        if pa != pb:
+            counts[(min(pa, pb), max(pa, pb))] += 1
+    num_parts = max(part_of.values()) + 1
+    all_pairs = [
+        counts.get((p, q), 0) for p in range(num_parts) for q in range(p + 1, num_parts)
+    ]
+    return not all_pairs or max(all_pairs) - min(all_pairs) <= 1
 
 
 # ---------------------------------------------------------------------------

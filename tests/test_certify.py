@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 from collections import Counter
 
@@ -37,7 +39,7 @@ from amalgam import (
     two_class_parts,
     walecki_direct,
 )
-from tests.oracles import _reference_certify
+from tests.oracles import _dense_fair, _reference_certify
 
 
 def _k7_cert():
@@ -157,6 +159,77 @@ def test_fairness_requires_parts():
     report = certify(cert)
     assert not report.passed
     assert "without parts" in report.class_verdicts[0].reason
+
+
+def _set_partitions(items):
+    """Every partition of ``items`` into nonempty parts, each part in ascending order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [[first]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1 :]
+
+
+def test_fairness_matches_dense_oracle_on_every_k6_cycle_and_partition():
+    # 60 Hamiltonian cycles of K_6 under all 203 partitions of its vertices: one
+    # part (no part pairs), part pairs left out (least count 0) and all occurring
+    cycles = [
+        (0, *perm) for perm in itertools.permutations(range(1, 6)) if perm[0] < perm[-1]
+    ]
+    partitions = list(_set_partitions(list(range(6))))
+    assert (len(cycles), len(partitions)) == (60, 203)
+    verdicts: Counter = Counter()
+    for order in cycles:
+        cycle = tuple(zip(order, order[1:] + order[:1]))
+        for parts in partitions:
+            cert = DecompositionCertificate(
+                Multigraph(6, cycle),
+                (ClassClaim(ROLE_FAIR_HAMILTONIAN, cycle),),
+                tuple(tuple(part) for part in parts),
+            )
+            verdict = certify(cert).class_verdicts[0]
+            part_of = {v: p for p, part in enumerate(parts) for v in part}
+            assert verdict.passed == _dense_fair(cycle, part_of), (cycle, parts)
+            verdicts[verdict.passed] += 1
+    assert verdicts == {True: 4_860, False: 7_320}
+
+
+def test_fairness_reads_only_the_part_pairs_that_occur(monkeypatch):
+    # 101 one-vertex parts: C(101, 2) = 5,050 part pairs, but each fair class
+    # reads no more part-pair counts than it has edges
+    cert = ham_decompose_multipartite(1, 101, 1, fair=True)
+    made = []
+
+    class CountingCounter(Counter):
+        def __init__(self, *args):
+            self.reads = 0
+            made.append(self)
+            super().__init__(*args)
+
+        def __getitem__(self, key):
+            self.reads += 1
+            return super().__getitem__(key)
+
+        def __iter__(self):
+            self.reads += len(self)
+            return super().__iter__()
+
+        def values(self):
+            self.reads += len(self)
+            return super().values()
+
+        def items(self):
+            self.reads += len(self)
+            return super().items()
+
+    # the package exports the function certify under the module's name
+    monkeypatch.setattr(importlib.import_module("amalgam.certify"), "Counter", CountingCounter)
+    assert certify(cert).passed
+    assert len(made) == len(cert.classes) == 50
+    assert all(0 < counts.reads <= 101 for counts in made), [c.reads for c in made]
 
 
 def test_certify_total_on_malformed_claims():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -264,6 +265,28 @@ def test_counting_verifier_matches_pairwise_oracle_on_large_fibers():
         assert failed
 
 
+def test_counting_verifier_reads_each_edge_in_either_order():
+    # G's ends map onto H's through phi of G's own ends, so reversing G's edges
+    # changes no verdict, also on copies with endpoints moved
+    rng = random.Random(1985)
+    failed: Counter = Counter()
+    done = 0
+    while done < 200:
+        inst = random_detachment_instance(rng)
+        if inst is None:
+            continue
+        h, coloring, eta = inst
+        result = detach(h, coloring, eta)
+        for copy in (result, _moved_endpoints(result, rng, rng.randint(1, 3))):
+            g = Multigraph(copy.g.vertex_count, tuple((b, a) for a, b in copy.g.edges))
+            reversed_copy = DetachmentResult(g, copy.coloring, copy.spec, copy.labels)
+            report = verify_detachment(h, coloring, reversed_copy)
+            assert report == verify_detachment(h, coloring, copy), (h.edges, g.edges)
+            _assert_same_report(h, coloring, reversed_copy, failed)
+        done += 1
+    assert {"A1", "A2"} <= set(failed), failed
+
+
 def _on_every_split(monkeypatch, check):
     """Call check(star, delta, counts, guarded, colors, quals) at every split, inside the real detach.
 
@@ -274,10 +297,10 @@ def _on_every_split(monkeypatch, check):
     real_quals = detachment._qualifying_classes
     call = {}
 
-    def qualifying(deg, eta, present, dense):
+    def qualifying(h, colors, eta):
         # detach asks for its qualifying classes before its first split
-        class_edges = real_quals(deg, eta, present, dense)
-        call["colors"] = [present[j - 1] for j in dense]
+        class_edges = real_quals(h, colors, eta)
+        call["colors"] = list(colors)
         call["quals"] = list(class_edges)
         return class_edges
 
@@ -466,45 +489,100 @@ def test_failed_search_names_vertex_split_and_color(monkeypatch):
     assert str(err).endswith("construction at vertex 0, split delta=3, no color")
 
 
-def test_detach_sizes_its_tables_by_the_colors_that_occur(monkeypatch):
-    # a 20-vertex ring of doubled edges colored 1 and 2, at k = 10^5: every
-    # color-degree table of detach and its verifier has columns 0, 1 and 2 only
-    widths = []
-    real_color_degrees = detachment.color_degrees
+def _recolored_ring(n):
+    """``_ring(n)`` with each loop pair and each ring pair given its own color: 2n colors."""
+    h, _, eta = _ring(n)
+    return h, EdgeColoring(2 * n, tuple(1 + e // 2 for e in range(h.edge_count))), eta
 
-    def recording_color_degrees(g, colors, k):
-        deg = real_color_degrees(g, colors, k)
-        widths.extend(len(row) for row in deg)
-        return deg
 
-    monkeypatch.setattr(detachment, "color_degrees", recording_color_degrees)
-    n = 20
+def _doubled_ring(n):
+    """n fused vertices in a ring of doubled edges, eta = 2."""
     edges = tuple((min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n) for _ in range(2))
-    h, eta = Multigraph(n, edges), [2] * n
-    result = detach(h, EdgeColoring(10**5, (1, 2) * n), eta)
-    assert widths and max(widths) <= 3
-    assert result.g == detach(h, EdgeColoring(2, (1, 2) * n), eta).g
+    return Multigraph(n, edges), [2] * n
 
 
+def test_detach_costs_the_keys_that_occur():
+    # the doubled ring colored 1 and 2 gives the same graph at k = 10^5 as at k = 2
+    h, eta = _doubled_ring(20)
+    result = detach(h, EdgeColoring(10**5, (1, 2) * 20), eta)
+    assert result.g == detach(h, EdgeColoring(2, (1, 2) * 20), eta).g
+    # the recolored ring has 2,000 colors on 1,000 vertices: no table of vertices
+    # by colors, which would take tens of MiB
+    h, coloring, eta = _recolored_ring(1000)
+    tracemalloc.start()
+    try:
+        result = detach(h, coloring, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.g.vertex_count == 2000
+    assert peak < 16 * 2**20, peak
 
-def test_qualifying_colors_sizes_its_table_by_the_colors_that_occur(monkeypatch):
-    # the ring of the test above at k = 10^5: colors 1 and 2 have degree 2 at
-    # every vertex (eta = 2) and fail, every absent color qualifies vacuously,
-    # and the color-degree table has columns 0, 1 and 2 only
-    widths = []
-    real_color_degrees = detachment.color_degrees
 
-    def recording_color_degrees(g, colors, k):
-        deg = real_color_degrees(g, colors, k)
-        widths.extend(len(row) for row in deg)
-        return deg
+def test_qualifying_colors_costs_the_keys_that_occur():
+    # the doubled ring at k = 10^5: colors 1 and 2 have degree 2 at every vertex
+    # (eta = 2) and fail, and every absent color qualifies vacuously
+    h, eta = _doubled_ring(20)
+    assert qualifying_colors(h, EdgeColoring(10**5, (1, 2) * 20), eta) == list(range(3, 10**5 + 1))
+    # on the recolored ring each loop pair's color qualifies and each ring pair's fails
+    h, coloring, eta = _recolored_ring(1000)
+    assert qualifying_colors(h, coloring, eta) == list(range(1, 2001, 2))
 
-    monkeypatch.setattr(detachment, "color_degrees", recording_color_degrees)
-    n = 20
-    edges = tuple((min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n) for _ in range(2))
-    h, eta = Multigraph(n, edges), [2] * n
-    assert qualifying_colors(h, EdgeColoring(10**5, (1, 2) * n), eta) == list(range(3, 10**5 + 1))
-    assert widths and max(widths) <= 3
+
+def test_qualifying_colors_checks_its_inputs():
+    h = Multigraph(2, ((0, 0), (0, 1)))
+    coloring = EdgeColoring(1, (1, 1))
+    for eta, message in (
+        ([0, 1], r"^eta\(0\) must be positive$"),
+        ([2, -1], r"^eta\(1\) must be positive$"),
+        ([2], r"^eta must be total on V\(H\)$"),
+        ([2, 1, 1], r"^eta must be total on V\(H\)$"),
+    ):
+        with pytest.raises(DetachmentContractError, match=message):
+            qualifying_colors(h, coloring, eta)
+    for colors in ((1,), (1, 1, 1)):
+        with pytest.raises(DetachmentContractError, match=r"^coloring does not match H$"):
+            qualifying_colors(h, EdgeColoring(1, colors), [2, 1])
+    # loops at an eta = 1 vertex do not stop the test, only a detachment
+    assert qualifying_colors(Multigraph(1, ((0, 0),)), EdgeColoring(1, (1,)), [1]) == [1]
+
+
+def test_star_reads_only_the_colors_at_its_vertex():
+    # on the recolored ring every loop pair's color qualifies, but a star at u
+    # reads the class map only at u's own colors, no more of them than u has cells
+    class RecordingMap(dict):
+        read = set()
+
+        def __iter__(self):
+            for key in super().__iter__():
+                RecordingMap.read.add(key)
+                yield key
+
+        def __contains__(self, key):
+            RecordingMap.read.add(key)
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            RecordingMap.read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            RecordingMap.read.add(key)
+            return super().get(key, default)
+
+    h, coloring, _ = _recolored_ring(200)
+    colors = coloring.colors
+    class_edges = RecordingMap()
+    for e, c in enumerate(colors):
+        if c % 2:  # the loop pairs' colors: degree 4 at their vertex, eta = 2
+            class_edges.setdefault(c, []).append(e)
+    for u in (0, 100, 199):
+        RecordingMap.read = set()
+        incident = [e for e, pair in enumerate(h.edges) if u in pair]
+        star = _Star(u, [list(pair) for pair in h.edges], colors, incident, class_edges)
+        assert len(star.cell_slots) == 3 and list(star.groups) == [2 * u + 1]
+        assert 2 * u + 1 in RecordingMap.read
+        assert len(RecordingMap.read) <= len(star.cell_slots), RecordingMap.read
 
 
 def test_qualifying_colors_matches_the_dense_table():
