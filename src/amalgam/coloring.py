@@ -21,10 +21,10 @@ fractional circulation, so an integral one exists (None would be a bug).
 Classes above ``top`` (the edge count for bee, the largest half-degree
 for even) have windows [0, 1] only and are skipped. The two networks:
 
-* bee: the pair, star and total quotas of ``laminar``'s two families, as
-  an arc per pair (left end first), from the source to each left vertex,
-  from each right vertex to the sink, and from sink to source. All edges
-  of a pair lie in the same sets, so one arc per pair is exact.
+* bee: the pair, star and total quotas of ``laminar``'s two families, on
+  the split's ``quota_network`` with no groups: its cells are the sorted
+  pairs (left end first), so a class never depends on the pairs' order.
+  All edges of a pair lie in the same sets, so one arc per pair is exact.
 * even: the quota is a vertex's in-degree, half its degree on the arcs
   of ``_even_orientation``. A class takes a circulation, so what it
   leaves stays balanced and the one orientation serves every class.
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import partial
 
-from .flows import feasible_circulation
+from .flows import feasible_circulation, quota_network
 from .multigraph import EdgeColoring, GraphUsageError, Multigraph
 
 
@@ -84,23 +84,12 @@ def _check_bipartite(g: Multigraph, left: set[int]) -> None:
             raise ColoringContractError(f"edge ({a},{b}) does not cross the bipartition")
 
 
-def _bee_class_counts(
-    vertex_count: int, left: set[int], uncolored: dict[tuple[int, int], int], divisor: int
-) -> dict[tuple[int, int], int] | None:
+def _bee_class_counts(uncolored: dict[tuple[int, int], int], divisor: int) -> dict | None:
     """How many of each pair's (left end first) uncolored edges the next bee class takes."""
-    s, t = vertex_count, vertex_count + 1
-    star = [0] * vertex_count
-    for (a, b), x in uncolored.items():
-        star[a] += x
-        star[b] += x
-    ends = [v for v in range(vertex_count) if star[v]]
-    # the pairs, an arc into each left end and out of each right end, the total
-    tails = [a for a, _ in uncolored] + [s if v in left else v for v in ends] + [t]
-    heads = [b for _, b in uncolored] + [v if v in left else t for v in ends] + [s]
-    sizes = [*uncolored.values(), *(star[v] for v in ends), sum(uncolored.values())]
-    lo = [x // divisor for x in sizes]
-    flow = feasible_circulation(t + 1, tails, heads, lo, [-(-x // divisor) for x in sizes])
-    return None if flow is None else {pair: f for pair, f in zip(uncolored, flow) if f}
+    cells = sorted(pair for pair, x in uncolored.items() if x)
+    *network, first = quota_network(cells, [uncolored[pair] for pair in cells], [], divisor)
+    flow = feasible_circulation(*network)
+    return None if flow is None else {pair: f for pair, f in zip(cells, flow[first:]) if f}
 
 
 def bee_coloring(g: Multigraph, left: set[int], k: int) -> EdgeColoring:
@@ -112,8 +101,8 @@ def bee_coloring(g: Multigraph, left: set[int], k: int) -> EdgeColoring:
     def orient(ids_of):  # each pair left end first
         return {(a, b) if a in left else (b, a): ids for (a, b), ids in ids_of.items()}
 
-    counts = partial(_bee_class_counts, g.vertex_count, left)
-    return _peel(g, k, g.edge_count, orient, counts, partial(verify_bee, g, left), "bee")
+    verify = partial(verify_bee, g, left)
+    return _peel(g, k, g.edge_count, orient, _bee_class_counts, verify, "bee")
 
 
 def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:

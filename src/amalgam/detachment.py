@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .flows import feasible_circulation
+from .flows import feasible_circulation, quota_network
 from .multigraph import (
     AmalgamationSpec,
     EdgeColoring,
@@ -297,59 +297,27 @@ def _split_counts(star: _Star, delta: int) -> dict[tuple[int, int], int]:
     component and every component of j survives. ``keeps_components``
     re-checks this on the circulation as a guard.
 
-    One walk over u's sorted cells collects the row and column sums and
-    each qualifying row's cells by group id, read off the star's
-    union-finds: a group is named by its root, and the loop cell, at most
-    one per color, by _LOOP, u's own group. So a split costs O(deg u) plus
-    its circulation. Nodes: source 0, sink 1, the rows, the columns, then
-    the groups in order of their first cell; the arcs, as
-    ``feasible_circulation``'s parallel lists: rows, groups, cells,
-    columns, total. Raises ``DetachmentError`` naming the split: with no
-    color if the windows admit no circulation, or with the first
-    qualifying color whose row breaks a component. The argument above
-    rules out both.
+    One walk over u's sorted cells collects each qualifying row's cells
+    by group, read off the star's union-finds: a group is named by its
+    root, and the loop cell, at most one per color, by _LOOP, u's own
+    group. So a split costs O(deg u) plus its circulation, on the network
+    that ``flows.quota_network`` lays out, with colors as rows, neighbors
+    as columns and the groups of two or more cells. Raises
+    ``DetachmentError`` naming the split: with no color if the windows
+    admit no circulation, or with the first qualifying color whose row
+    breaks a component. The argument above rules out both.
     """
     cell_slots, groups = star.cell_slots, star.groups
     cells = sorted(cell_slots)
     sizes = [len(cell_slots[cell]) for cell in cells]
-    rows: dict[int, int] = {}  # color -> slots at u
-    cols: dict[int, int] = {}  # neighbor -> slots at u
-    cell_tails: list[int] = []  # each cell's row node, or its group's node below
     quals: dict[int, dict[int, list[int]]] = {}  # qualifying color -> group -> its cells
-    for i, ((c, z), size) in enumerate(zip(cells, sizes)):
-        if c not in rows:  # the cells come color by color
-            rows[c] = 0
-            parent = groups.get(c)  # c's union-find, if c qualifies
-            if parent is not None:
-                members = quals[c] = {}
-        rows[c] += size
-        cols[z] = cols.get(z, 0) + size
-        cell_tails.append(1 + len(rows))
-        if parent is not None:
-            members.setdefault(z if z == _LOOP else find(parent, z), []).append(i)
-
-    col_node = {z: n for n, z in enumerate(sorted(cols), 2 + len(rows))}
-    node = 2 + len(rows) + len(cols)
-    # the arcs as parallel lists; arc i's window shares out sums[i] slots
-    sums = list(rows.values())
-    tails = [0] * len(rows)
-    heads = list(range(2, 2 + len(rows)))
-    # a group's cells leave from one node under its color's row
-    for members in quals.values():
-        for group in members.values():
-            if len(group) > 1:
-                sums.append(sum([sizes[i] for i in group]))
-                tails.append(cell_tails[group[0]])
-                heads.append(node)
-                for i in group:
-                    cell_tails[i] = node
-                node += 1
-    first = len(sums)
-    sums += sizes + [cols[z] for z in col_node] + [sum(sizes)]
-    tails += cell_tails + [*col_node.values(), 1]
-    heads += [col_node[z] for _, z in cells] + [1] * len(cols) + [0]
-    lo = [s // delta for s in sums]
-    flow = feasible_circulation(node, tails, heads, lo, [-(-s // delta) for s in sums])
+    for i, (c, z) in enumerate(cells):
+        if c in groups:  # c qualifies: find z's group in c's union-find
+            group = z if z == _LOOP else find(groups[c], z)
+            quals.setdefault(c, {}).setdefault(group, []).append(i)
+    nested = [ids for members in quals.values() for ids in members.values() if len(ids) > 1]
+    *network, first = quota_network(cells, sizes, nested, delta)
+    flow = feasible_circulation(*network)
     if flow is None:
         raise DetachmentError(["construction"], vertex=star.u, delta=delta)
     takes = flow[first : first + len(cells)]

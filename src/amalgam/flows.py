@@ -3,7 +3,7 @@
 Deliberately minimal. Its heaviest caller is ``detach``: every vertex
 split solves one circulation of its quota windows. Each class of both
 coloring engines and each ``select_subset`` call solve one too. Not a
-general flow library.
+general flow library. A split and a bee class solve ``quota_network``.
 
 The arcs come as four parallel lists, and one pass over them folds each
 lower bound into the node excesses and writes each arc with room straight
@@ -15,6 +15,46 @@ iterative, so no depth of network reaches Python's recursion limit.
 """
 
 from __future__ import annotations
+
+
+def quota_network(cells, sizes: list[int], groups: list[list[int]], divisor: int):
+    """The windows [floor(x/divisor), ceil(x/divisor)] of cells over rows and columns.
+
+    Cell i = (row, column) holds ``sizes[i]`` units, and the cells come
+    sorted. A group lists two or more cells of one row, each cell in at
+    most one group. Each cell, group, row and column, and the total, gets
+    the window of its x units. Nodes: source 0, sink 1, the rows, the
+    columns, then the groups. Arcs: rows, groups, cells (from their group,
+    else their row), columns, total. Returns ``feasible_circulation``'s
+    arguments and the index of the first cell arc.
+    """
+    rows: dict = {}  # row -> units
+    cols: dict = {}
+    cell_tails = []  # each cell's row node, or its group's node below
+    for (r, z), size in zip(cells, sizes):
+        rows[r] = rows.get(r, 0) + size
+        cols[z] = cols.get(z, 0) + size
+        cell_tails.append(1 + len(rows))  # the sorted cells come row by row
+    col_node = {z: n for n, z in enumerate(sorted(cols), 2 + len(rows))}
+    node = 2 + len(rows) + len(cols)
+    # arc i's window shares out sums[i] units
+    sums = list(rows.values())
+    tails = [0] * len(rows)
+    heads = list(range(2, 2 + len(rows)))
+    for group in groups:
+        sums.append(sum([sizes[i] for i in group]))
+        tails.append(cell_tails[group[0]])
+        heads.append(node)
+        for i in group:
+            cell_tails[i] = node
+        node += 1
+    first = len(sums)
+    sums += sizes + [cols[z] for z in col_node] + [sum(sizes)]
+    tails += cell_tails + [*col_node.values(), 1]
+    heads += [col_node[z] for _, z in cells] + [1] * len(cols) + [0]
+    lo = [x // divisor for x in sums]
+    hi = [-(-x // divisor) for x in sums]
+    return node, tails, heads, lo, hi, first
 
 
 def feasible_circulation(

@@ -72,6 +72,24 @@ def random_bipartite(rng: random.Random) -> tuple[Multigraph, set[int]]:
     return Multigraph(na + nb, tuple(edges)), left
 
 
+def random_mixed_bipartite(rng: random.Random):
+    """Random bipartite multigraph on shuffled ids, its edges shuffled, about half right end first.
+
+    Sides <= 6, up to 25 pair draws of multiplicity 1-3. Returns the graph,
+    its left side, and the same edges sorted, each left end first.
+    """
+    na, nb = rng.randint(1, 6), rng.randint(1, 6)
+    ids = rng.sample(range(na + nb), na + nb)
+    left, right = ids[:na], ids[na:]
+    edges = []
+    for _ in range(rng.randint(1, 25)):
+        edges += [(rng.choice(left), rng.choice(right))] * rng.randint(1, 3)
+    ordered = sorted(edges)
+    rng.shuffle(edges)
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    return Multigraph(na + nb, tuple(edges)), set(left), ordered
+
+
 def random_even_graph(rng: random.Random) -> Multigraph:
     """Random even multigraph with loops, built as unions of closed walks."""
     nv = rng.randint(1, 8)

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -17,7 +17,7 @@ from amalgam import (
 import amalgam.coloring as coloring_module
 import amalgam.laminar as laminar_module
 from amalgam.multigraph import color_degrees
-from tests.conftest import random_bipartite, random_even_graph
+from tests.conftest import random_bipartite, random_even_graph, random_mixed_bipartite
 from tests.oracles import (
     _dense_verify_bee,
     _dense_verify_evenly_equitable,
@@ -87,6 +87,21 @@ def test_bee_random_suite():
         assert verify_bee(g, left, coloring)
         assert sum(len(ids) for ids in coloring.edge_ids_by_class()[1:]) == g.edge_count
         done += 1
+
+
+def test_bee_class_counts_ignore_edge_order_and_end_order():
+    # a class's per-pair counts come from the sorted pairs, so shuffling the
+    # edge list or writing an edge right end first changes no (pair, color) count
+    rng = random.Random(27)
+    for _ in range(500):
+        g, left, ordered = random_mixed_bipartite(rng)
+        k = rng.randint(2, 8)
+        coloring = bee_coloring(g, left, k)
+        assert verify_bee(g, left, coloring)
+        sorted_g = Multigraph(g.vertex_count, tuple(ordered))
+        want = Counter(zip(ordered, bee_coloring(sorted_g, left, k).colors))
+        pairs = [(a, b) if a in left else (b, a) for a, b in g.edges]
+        assert Counter(zip(pairs, coloring.colors)) == want
 
 
 def test_evenly_equitable_c4():

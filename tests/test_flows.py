@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from amalgam.flows import _max_flow, feasible_circulation
+from amalgam.flows import _max_flow, feasible_circulation, quota_network
 from tests.oracles import _RecursiveDinic, _recursive_circulation
 
 
@@ -211,3 +211,22 @@ def test_long_chain_needs_no_recursion():
     assert _max_flow(*network, 0, n - 1, UNBOUNDED) == 2
     arcs = [(v, v + 1, 0, 1) for v in range(n - 1)] + [(n - 1, 0, 1, 1)]
     assert _circulation(n, arcs) == [1] * n
+
+
+def test_quota_network_layout_by_hand():
+    # rows 1 and 2 share column 6; cells 1 and 2 of row 1 form a group; halves
+    cells = [(1, 5), (1, 6), (1, 7), (2, 6)]
+    num_nodes, tails, heads, lo, hi, first = quota_network(cells, [2, 3, 1, 4], [[1, 2]], 2)
+    # nodes: source 0, sink 1, rows 1 -> 2 and 2 -> 3, columns 5 -> 4, 6 -> 5, 7 -> 6, group 7
+    assert num_nodes == 8
+    assert first == 3
+    assert list(zip(tails, heads, lo, hi)) == [
+        (0, 2, 3, 3), (0, 3, 2, 2),  # rows: 6 and 4 units
+        (2, 7, 2, 2),  # the group: 3 + 1 units
+        (2, 4, 1, 1), (7, 5, 1, 2), (7, 6, 0, 1), (3, 5, 2, 2),  # cells, from group or row
+        (4, 1, 1, 1), (5, 1, 3, 4), (6, 1, 0, 1),  # columns: 2, 7 and 1 units
+        (1, 0, 5, 5),  # the total: 10 units
+    ]
+    flow = feasible_circulation(num_nodes, tails, heads, lo, hi)
+    assert flow is not None
+    assert all(a <= f <= b for f, a, b in zip(flow, lo, hi))

@@ -32,7 +32,7 @@ from amalgam import (
     verify_bee,
     walecki_direct,
 )
-from tests.conftest import random_bipartite, random_detachment_instance
+from tests.conftest import random_bipartite, random_detachment_instance, random_mixed_bipartite
 from tests.oracles import _random_laminar
 
 
@@ -141,6 +141,20 @@ def test_pinned_bee_colorings():
     assert all(verify_bee(*draw) for draw in draws)
     assert _digest([coloring.colors for _, _, coloring in draws]) == (
         "63851dbaea8baab4cddbd8a07102dc36a4094adfc0ee499e5b74caf5e5b75531"
+    )
+
+
+def test_pinned_bee_colorings_of_shuffled_edges():
+    # the draws above list each pair's edges together, left end first; these
+    # list them shuffled and about half right end first, as the order test does
+    rng = random.Random(27)
+    draws = []
+    for _ in range(50):
+        g, left, _ = random_mixed_bipartite(rng)
+        draws.append((g, left, bee_coloring(g, left, rng.randint(2, 8))))
+    assert all(verify_bee(*draw) for draw in draws)
+    assert _digest([coloring.colors for _, _, coloring in draws]) == (
+        "f31bb491247e584993303a5cc2ebf45aa9f3b18c0cedfe9cc7375434fdb577e4"
     )
 
 
