@@ -25,6 +25,7 @@ from .multigraph import (
     pair_keys,
     two_class_graph,
     union,
+    within_spread,
 )
 
 ROLE_HAMILTONIAN = "hamiltonian"
@@ -134,9 +135,7 @@ def _check_class(idx: int, claim: ClassClaim, s: int, part_of) -> ClassVerdict:
             num_parts = max(part_of.values()) + 1
             cross = [(part_of[a], part_of[b]) for a, b in claim.edges if part_of[a] != part_of[b]]
             counts = Counter(pair_keys(cross, num_parts)).values()
-            # a part pair that does not occur carries 0, the least count unless all occur
-            all_occur = len(counts) == num_parts * (num_parts - 1) // 2
-            if counts and max(counts) - (min(counts) if all_occur else 0) > 1:
+            if not within_spread(counts, num_parts * (num_parts - 1) // 2, 1):
                 return ClassVerdict(idx, claim.role, False, "part-pair counts not within 1")
         return ClassVerdict(idx, claim.role, True)
     if claim.role == ROLE_ONE_FACTOR:

@@ -36,7 +36,7 @@ from collections import Counter, defaultdict
 from functools import partial
 
 from .flows import feasible_circulation, quota_network
-from .multigraph import EdgeColoring, GraphUsageError, Multigraph
+from .multigraph import EdgeColoring, GraphUsageError, Multigraph, within_spread
 
 
 class ColoringContractError(ValueError):
@@ -108,8 +108,8 @@ def bee_coloring(g: Multigraph, left: set[int], k: int) -> EdgeColoring:
 def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
     """Exact check of the equalized, balanced and equitable properties.
 
-    Counts the (set, color) pairs that occur, in O(E) for any k: a set
-    missing one of the k colors has a 0 there, so its counts must be <= 1.
+    Counts the (set, color) pairs that occur, in O(E) for any k: each set's
+    counts over the k colors are ``within_spread`` 1.
     """
     if len(coloring.colors) != g.edge_count:
         return False
@@ -118,11 +118,7 @@ def verify_bee(g: Multigraph, left: set[int], coloring: EdgeColoring) -> bool:
     for ((a, b), c), n in Counter(zip(pairs, coloring.colors)).items():
         for key in (None, (a, b), a, b):
             per_set[key][c] += n
-    for counts in per_set.values():
-        least = min(counts.values()) if len(counts) == coloring.k else 0
-        if max(counts.values()) > least + 1:
-            return False
-    return True
+    return all(within_spread(counts.values(), coloring.k, 1) for counts in per_set.values())
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +200,8 @@ def evenly_equitable_coloring(g: Multigraph, k: int) -> EdgeColoring:
 def verify_evenly_equitable(g: Multigraph, coloring: EdgeColoring) -> bool:
     """Per vertex: every color degree even, pairwise differences in {0, 2}.
 
-    Counts the (vertex, color) pairs that occur, in O(E) for any k: a vertex
-    missing one of the k colors has a 0 there, so its counts must be <= 2.
+    Counts the (vertex, color) pairs that occur, in O(E) for any k: each
+    vertex's counts are even and, over the k colors, ``within_spread`` 2.
     """
     if len(coloring.colors) != g.edge_count:
         return False
@@ -213,10 +209,6 @@ def verify_evenly_equitable(g: Multigraph, coloring: EdgeColoring) -> bool:
     for ((a, b), c), n in Counter(zip(g.edges, coloring.colors)).items():
         per_vertex[a][c] += n  # a loop adds 2n at its vertex
         per_vertex[b][c] += n
-    for counts in per_vertex.values():
-        if any(d % 2 for d in counts.values()):
-            return False
-        least = min(counts.values()) if len(counts) == coloring.k else 0
-        if max(counts.values()) > least + 2:
-            return False
-    return True
+    if any(d % 2 for counts in per_vertex.values() for d in counts.values()):
+        return False
+    return all(within_spread(counts.values(), coloring.k, 2) for counts in per_vertex.values())

@@ -287,17 +287,14 @@ def _detached_claims(
 ) -> tuple[ClassClaim, ...]:
     """Class claims after detaching each vertex p of h into eta[p] copies.
 
-    p's copies are renumbered in order from sum(eta[:p]); ``detach``
-    already numbers them so when only the last vertex splits. Class j
-    claims role roles[j-1], and degree r[j-1] when that role is an r-factor.
+    One stable sort of G's vertices by phi numbers p's eta[p] copies, phi^-1(p),
+    in order from sum(eta[:p]); ``detach`` already does when only the last vertex
+    splits. Class j claims role roles[j-1], and degree r[j-1] when that role is an r-factor.
     """
     result = detach(h, coloring, eta)
-    relabel = {}
-    start = 0
-    for p, copies in enumerate(eta):
-        for idx, w in enumerate(sorted(result.labels[p])):
-            relabel[w] = start + idx
-        start += copies
+    relabel = [0] * result.g.vertex_count
+    for i, w in enumerate(sorted(range(result.g.vertex_count), key=result.spec.phi.__getitem__)):
+        relabel[w] = i
     ends = [(relabel[a], relabel[b]) for a, b in result.g.edges]
     pairs = [(a, b) if a <= b else (b, a) for a, b in ends]
     return tuple(

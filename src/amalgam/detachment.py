@@ -123,25 +123,26 @@ def edge_component_count(edges) -> int:
 
 def qualifying_colors(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> list[int]:
     """Colors j with d_{H(j)}(v)/eta(v) an even integer at every vertex (absent j vacuously)."""
-    _check_contract(h, coloring, eta)
+    if errors := _contract_errors(h, coloring, eta):
+        raise DetachmentContractError(errors[0])
     failed = set(coloring.colors).difference(_qualifying_classes(h, coloring.colors, eta))
     return [j for j in range(1, coloring.k + 1) if j not in failed]
 
 
-def _check_contract(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int], loops=()) -> None:
-    """Raise ``DetachmentContractError`` unless eta and the coloring fit H.
+def _contract_errors(h: Multigraph, coloring: EdgeColoring, eta, loops=()) -> list[str]:
+    """The rules of ``detach``'s contract that eta and the coloring break on H, in order.
 
-    Vertices are checked in order; with ``loops``, one with loops needs eta >= 2.
+    A wrong eta length is reported alone; with ``loops``, a vertex with loops needs eta >= 2.
     """
     if len(eta) != h.vertex_count:
-        raise DetachmentContractError("eta must be total on V(H)")
-    if len(coloring.colors) != h.edge_count:
-        raise DetachmentContractError("coloring does not match H")
+        return ["eta must be total on V(H)"]
+    errors = ["coloring does not match H"] if len(coloring.colors) != h.edge_count else []
     for v, n in enumerate(eta):
         if n < 1:
-            raise DetachmentContractError(f"eta({v}) must be positive")
-        if n == 1 and loops and loops[v]:
-            raise DetachmentContractError(f"eta({v})=1 but vertex {v} has loops")
+            errors.append(f"eta({v}) must be positive")
+        elif n == 1 and loops and loops[v]:
+            errors.append(f"eta({v})=1 but vertex {v} has loops")
+    return errors
 
 
 def _end_keys(edges, colors: Sequence[int], base: list[int]) -> list[int]:
@@ -178,7 +179,8 @@ def detach(h: Multigraph, coloring: EdgeColoring, eta: Sequence[int]) -> Detachm
             incident[b].append(eid)
         else:
             loops[a] += 1
-    _check_contract(h, coloring, eta, loops)
+    if errors := _contract_errors(h, coloring, eta, loops):
+        raise DetachmentContractError(errors[0])
 
     colors = coloring.colors
     class_edges = _qualifying_classes(h, colors, eta)
@@ -360,20 +362,19 @@ def verify_detachment(
 ) -> DetachmentReport:
     """Exact evaluation of the seven detachment properties plus structure.
 
-    A1 holds each vertex's degree within its image's floor and ceil, d // eta
-    and -(-d // eta). A2-A6 count int keys with ``_failing_pairs``: A2 the
-    (vertex, color) ends v*(k+1) + c, shared by eta(u) copies of u, and
-    A3-A6 the pairs {a, b} on V vertices, min*V + max, over all colors or
-    per color, key*(k+1) + c, shared by the eta(u)eta(v) sibling pairs of
-    (u, v), or C(eta(u), 2) for a loop. O(E) for E edges.
+    The structure is ``detach``'s contract first (``_contract_errors``),
+    then G carrying H over by phi, without loops. A1 holds each vertex's
+    degree within its image's floor and ceil, d // eta and -(-d // eta).
+    A2-A6 count int keys with ``_failing_pairs``: A2 the (vertex, color)
+    ends v*(k+1) + c, shared by eta(u) copies of u, and A3-A6 the pairs
+    {a, b} on V vertices, min*V + max, over all colors or per color,
+    key*(k+1) + c, shared by the eta(u)eta(v) sibling pairs of (u, v), or
+    C(eta(u), 2) for a loop. O(E) for E edges.
     """
-    errors = []
     g, spec = result.g, result.spec
     eta, phi = spec.eta, spec.phi
     nv = h.vertex_count
-    if len(eta) != nv:
-        errors.append("eta not total on V(H)")
-    errors += [f"eta({v}) must be positive" for v, n in enumerate(eta) if n < 1]
+    errors = _contract_errors(h, coloring, eta)
     if len(phi) != g.vertex_count:
         errors.append("phi not total on V(G)")
     if g.edge_count != h.edge_count:

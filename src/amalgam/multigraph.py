@@ -9,7 +9,7 @@ the degree of their vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class GraphUsageError(ValueError):
@@ -117,6 +117,16 @@ def amalgamate(g: Multigraph, phi: Sequence[int]) -> tuple[Multigraph, Amalgamat
 def pair_keys(edges: Iterable[tuple[int, int]], n: int) -> list[int]:
     """Each edge's unordered pair {a, b} of a graph on n vertices as min*n + max."""
     return [a * n + b if a <= b else b * n + a for a, b in edges]
+
+
+def within_spread(counts: Collection[int], slots: int, spread: int) -> bool:
+    """Do the counts of ``slots`` keys differ by at most ``spread``?
+
+    ``counts`` holds only the keys that occur. A key that does not occur
+    counts 0, so it is the least count unless all ``slots`` keys occur.
+    """
+    least = min(counts, default=0) if len(counts) == slots else 0
+    return max(counts, default=0) - least <= spread
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,13 @@ def _pairwise_verify_detachment(h, coloring, result):
     errors = []
     g, spec = result.g, result.spec
     eta, phi = spec.eta, spec.phi
+    # detach's contract first: a wrong eta length alone, else the coloring, then each eta(v)
     if len(eta) != h.vertex_count:
-        errors.append("eta not total on V(H)")
+        errors.append("eta must be total on V(H)")
+    else:
+        if len(coloring.colors) != h.edge_count:
+            errors.append("coloring does not match H")
+        errors += [f"eta({u}) must be positive" for u in range(h.vertex_count) if eta[u] < 1]
     if len(phi) != g.vertex_count:
         errors.append("phi not total on V(G)")
     if g.edge_count != h.edge_count:

@@ -111,6 +111,63 @@ def test_dot_output(capsys):
     assert "--" in out
 
 
+def test_dot_output_without_parts(capsys):
+    code, out = run_cli(capsys, "decompose", "complete", "--n", "4", "--lambda", "1",
+                        "--format", "dot")
+    assert code == 0
+    # one node line per host vertex, no clusters, then the edges class by class
+    lines = out.splitlines()
+    assert lines[:6] == ["graph decomposition {", "  node [shape=circle];",
+                         "  v0;", "  v1;", "  v2;", "  v3;"]
+    assert "cluster" not in out
+    assert lines[6] == '  v1 -- v3 [color=red, tooltip="class 1"];'
+    assert lines[-2:] == ['  v0 -- v3 [color=blue, tooltip="class 2"];', "}"]
+
+
+def _embed(tmp_path, base, *argv):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    return run(["decompose", "embed", "--base", str(path), *argv])
+
+
+def test_embed_base_without_a_coloring_is_a_usage_error(tmp_path, capsys):
+    assert _embed(tmp_path, {"graph": graph_to_json(complete_graph(3, 1))}, "--n", "2") == 64
+    assert capsys.readouterr().err == "usage error: malformed base file: 'coloring'\n"
+
+
+_STAR_AND_TRIANGLE = {(0, 1): 1, (0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 2, (2, 3): 2}
+_TWO_PATHS = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 2): 2, (0, 3): 2, (1, 3): 2}
+
+
+@pytest.mark.parametrize("by_pair,k,argv,violations", [
+    # K_4 + 1: class 1 is the star at 0 (degree 3 > 2), class 2 the triangle it leaves
+    (_STAR_AND_TRIANGLE, 2, ["--n", "1"],
+     ["class 1: a vertex exceeds degree 2",
+      "class 2: contains a cycle, not a disjoint union of paths"]),
+    # K_4 + 2: two Hamiltonian paths leave the matching class 3 empty
+    (_TWO_PATHS, 3, ["--n", "2"], ["class 3: 4 untouched vertices exceed the 2 new ones"]),
+    # K_4 + 1 into factors of degrees 2 and 4: their sum is not K_5's degree 4
+    (_TWO_PATHS, 2, ["--n", "1", "--r", "2,4"], ["sum(r)=6 != degree 4"]),
+])
+def test_embedding_violations_exit_2(tmp_path, capsys, by_pair, k, argv, violations):
+    g = complete_graph(4, 1)
+    coloring = EdgeColoring(k, tuple(by_pair[e] for e in g.edges))
+    base = {"graph": graph_to_json(g), "coloring": coloring_to_json(coloring)}
+    assert _embed(tmp_path, base, *argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"feasible": False, "violations": violations}
+
+
+def test_runtime_error_is_an_internal_error_exit_1(tmp_path, capsys, monkeypatch):
+    import amalgam.coloring as coloring
+
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(graph_to_json(Multigraph(2, ((0, 1),) * 4))))
+    monkeypatch.setattr(coloring, "feasible_circulation", lambda *args: None)
+    assert run(["color", str(g), "--mode", "even", "-k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "internal error: evenly-equitable class 2 of k=2 has no circulation (bug)\n"
+
+
 def test_color_bee_and_even(tmp_path, capsys):
     g = Multigraph(6, tuple((a, 3 + b) for a in range(3) for b in range(3)))
     f = tmp_path / "g.json"

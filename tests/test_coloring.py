@@ -137,6 +137,11 @@ def test_evenly_equitable_rejects_odd_degree():
         evenly_equitable_coloring(Multigraph(2, ((0, 1),)), 2)
 
 
+def test_evenly_equitable_rejects_k_below_one():
+    with pytest.raises(GraphUsageError, match=r"^k must be >= 1$"):
+        evenly_equitable_coloring(Multigraph(2, ((0, 1),) * 2), 0)
+
+
 def test_verify_evenly_equitable_all_one_color_c4():
     g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     assert verify_evenly_equitable(g, EdgeColoring(2, (1, 1, 1, 1)))

@@ -203,6 +203,12 @@ def test_malformed_embed_base_is_a_usage_error(base, coloring):
         assert str(from_check.value) == str(from_builder.value)
 
 
+@pytest.mark.parametrize("kind", ["embed-paths", "embed-factorization"])
+def test_embedding_request_without_a_base_coloring_is_infeasible(kind):
+    report = check_feasibility(DecompositionRequest(kind, base_graph=complete_graph(3, 1)))
+    assert report.violations == ["embedding requires a base coloring"]
+
+
 def test_assign_classes_agrees_with_exhaustive_oracle():
     rng = random.Random(4)
     for _ in range(600):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -123,10 +124,43 @@ def test_zero_eta_is_a_structural_error():
     coloring = EdgeColoring(1, (1, 1))
     g = Multigraph(2, ((0, 1),) * 2)
     spec = AmalgamationSpec((2, 0), (0, 0))
-    report = verify_detachment(h, coloring, DetachmentResult(g, coloring, spec, {0: [0, 1], 1: []}))
+    result = DetachmentResult(g, coloring, spec, {0: [0, 1], 1: []})
+    report = verify_detachment(h, coloring, result)
     assert not report.structural_ok
     assert report.structural_errors == ["eta(1) must be positive"]
     assert report.properties == {}
+    assert report == _pairwise_verify_detachment(h, coloring, result)
+
+
+@pytest.mark.parametrize("colors", [(1, 1, 2), (1, 1, 2, 2, 1)])
+def test_verifier_checks_detachs_coloring_contract(colors):
+    # one vertex with four loops colored 1, 1, 2, 2, detached to two vertices; the same
+    # coloring one edge short or long is the input's and the result's: not one per edge of H
+    h = Multigraph(1, ((0, 0),) * 4)
+    good = detach(h, EdgeColoring(2, (1, 1, 2, 2)), [2])
+    coloring = EdgeColoring(2, colors)
+    result = dataclasses.replace(good, coloring=coloring)
+    report = verify_detachment(h, coloring, result)
+    assert report == DetachmentReport(False, ["coloring does not match H"], {})
+    assert report == _pairwise_verify_detachment(h, coloring, result)
+
+
+@pytest.mark.parametrize("replaced,error", [
+    # eta (3, 0) on a one-vertex H: the length error alone, not eta(1) as well
+    ({"spec": AmalgamationSpec((3, 0), (0, 0, 0))}, "eta must be total on V(H)"),
+    ({"spec": AmalgamationSpec((2,), (0, 0))}, "phi not total on V(G)"),
+    ({"g": Multigraph(3, ((0, 1), (1, 2)))}, "edge count changed"),
+    ({"coloring": EdgeColoring(2, (1, 1, 1))}, "coloring was not carried over by edge identity"),
+])
+def test_each_structural_error_alone(replaced, error):
+    # three loops colored 1 detached into a triangle, with one field of the result replaced
+    h = Multigraph(1, ((0, 0),) * 3)
+    coloring = EdgeColoring(1, (1, 1, 1))
+    result = dataclasses.replace(detach(h, coloring, [3]), **replaced)
+    report = verify_detachment(h, coloring, result)
+    assert report == DetachmentReport(False, [error], {})
+    assert report == _pairwise_verify_detachment(h, coloring, result)
+
 
 def test_qualifying_colors():
     # color 1 degree 4 at the only vertex (eta=2): 4 % (2*2) == 0 -> qualifies

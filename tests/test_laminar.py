@@ -23,6 +23,12 @@ def test_select_n1_returns_full_set():
     assert select_subset(4, a, a, 1) == {0, 1, 2, 3}
 
 
+def test_select_rejects_n_below_one():
+    a = fam(4, {0, 1})
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        select_subset(4, a, a, 0)
+
+
 def test_select_crossing_families_quota():
     a = fam(4, {0, 1}, {2, 3}, {0, 1, 2, 3})
     b = fam(4, {0, 2}, {0, 1, 2, 3})
