@@ -571,27 +571,34 @@ def _two_class_coloring(
     the rest. Classes 1..k (k = degree // 2) are each fixed on one cross
     cycle of ``_walecki_classes`` (mu*n^2-fold K_m), so class j's edges
     come first on a pair in the order the cycles use it. For odd degree,
-    class k+1 is the 1-factor: floor(n/2) loops per vertex and, when n is
-    odd, the cross leave after the cycles. One part (m = 1) is lambda*K_n
-    as one loop vertex (Hilton, JCTB 36, 1984); a single vertex is
-    connected, so its classes need no cross cycle.
+    class k+1 is the 1-factor, of degree n at each fused vertex: t =
+    min(floor(n/2), lambda*C(n,2)) loops per vertex, the next floor(n/2) - t
+    cross cycles after the k fixed ones and, for odd n, the cross leave.
+    Only lambda = 0 gives t < floor(n/2); an odd degree then makes n, mu odd
+    and m even, the list holds exactly C = kn + (n-1)/2 cycles, and the
+    coloring gives each class 2n - 2 more on the other k(n-1) cycles' edges.
+    One part (m = 1) is lambda*K_n as one loop vertex (Hilton, JCTB 36,
+    1984); a single vertex is connected, so its classes need no cross cycle.
     """
     k, odd = divmod(degree, 2)
     cycles, leave = _walecki_classes(m, mu * n * n) if mu else ([], None)
-    if m > 1 and (len(cycles) < k or (odd and n % 2 and leave is None)):
+    loops = odd * min(n // 2, lam * math.comb(n, 2))  # the 1-factor's loops per vertex
+    factor_cycles = odd * (n // 2) - loops  # the 1-factor's whole cross cycles
+    if m > 1 and (len(cycles) < k + factor_cycles or (odd and n % 2 and leave is None)):
         raise RuntimeError("not enough spanning cycles in the fused graph (bug)")
+    layout = list(enumerate(cycles[:k], start=1))
+    layout += [(k + 1, cycle) for cycle in cycles[k:k + factor_cycles]]
+    if odd and n % 2:  # then mu*n*(m-1) is odd, so m > 1 and the leave exists
+        layout.append((k + 1, leave))
     uses: dict[tuple[int, int], list[int]] = {}  # cross pair -> its fixed classes, in order
-    for j, cycle in enumerate(cycles[:k], start=1):
+    for j, cycle in layout:
         for pair in cycle:
             uses.setdefault(pair, []).append(j)
-    if odd and n % 2:  # then mu*n*(m-1) is odd, so m > 1 and the leave exists
-        for pair in leave:
-            uses.setdefault(pair, []).append(k + 1)
     blocks = []  # (pair, edge count, the classes fixed on its first edges)
     if mu:
         size = mu * n * n
         blocks += [((p, q), size, uses.get((p, q), [])) for p in range(m) for q in range(p + 1, m)]
-    blocks += [((p, p), lam * math.comb(n, 2), [k + 1] * (odd * (n // 2))) for p in range(m)]
+    blocks += [((p, p), lam * math.comb(n, 2), [k + 1] * loops) for p in range(m)]
 
     rest = tuple(pair for pair, size, fixed in blocks for _ in range(size - len(fixed)))
     rest_colors = iter(evenly_equitable_coloring(Multigraph(m, rest), k).colors if rest else ())
@@ -613,32 +620,23 @@ def _two_class_coloring(
     return h, EdgeColoring(k + odd, tuple(colors))
 
 
-def _two_class_claims(n: int, m: int, lam: int, mu: int, degree: int) -> tuple[ClassClaim, ...]:
-    """Claims of a feasible two-multiplicity host of the given degree.
-
-    Every shape with an edge takes the fused route but one: with lambda = 0,
-    n > 1 and odd degree, the 1-factor needs n // 2 loops per fused vertex
-    and there are none, so the multipartite host is built.
-    """
-    r, roles = _hamiltonian_classes(degree)
-    if not r:
-        return ()
-    if lam == 0 and n > 1 and degree % 2:
-        return _multipartite_classes(n, m, r, roles)
-    h, coloring = _two_class_coloring(n, m, lam, mu, degree)
-    return _detached_claims(h, coloring, [n] * m, r, roles)
-
-
 def _two_class_certificate(
     n: int, m: int, lam: int, mu: int, odd: bool
 ) -> DecompositionCertificate:
-    """Certified two-class decomposition; ``odd`` is the degree parity required."""
+    """Certified two-class decomposition; ``odd`` is the degree parity required.
+
+    One route for every shape with an edge: the fused m-vertex graph of
+    ``_two_class_coloring``, each vertex detached into its part's n vertices.
+    """
     report = _two_class_feasibility(n, m, lam, mu)
     degree = _two_class_degree(n, m, lam, mu)
     if degree % 2 != odd:
         report.violations.append(f"(ii) degree {degree} is {'even' if odd else 'odd'}")
     _ensure_feasible(report)
-    claims = _two_class_claims(n, m, lam, mu, degree)
+    r, roles = _hamiltonian_classes(degree)
+    claims = ()
+    if r:
+        claims = _detached_claims(*_two_class_coloring(n, m, lam, mu, degree), [n] * m, r, roles)
     host = two_class_graph(n, m, lam, mu)
     return _certified(DecompositionCertificate(host, claims, two_class_parts(n, m)))
 

@@ -645,13 +645,17 @@ def _dense_verify_evenly_equitable(g, coloring):
 def _deque_two_class_coloring(n, m, lam, mu, degree):
     """Oracle: the fused two-class graph and its coloring, laid out edge id by edge id.
 
-    The cross blocks and the loops are laid down first. Each cross cycle,
-    then the cross leave, then the reserved 1-factor loops take the next
-    free id of their pair from a deque, and the ids left uncolored are
-    remapped through one ``evenly_equitable_coloring`` call.
+    The cross blocks and the loops are laid down first. Each cross cycle
+    of the k Hamiltonian classes, then the 1-factor's cross cycles, then
+    the cross leave, then the reserved 1-factor loops take the next free
+    id of their pair from a deque, and the ids left uncolored are remapped
+    through one ``evenly_equitable_coloring`` call. The 1-factor reserves
+    min(n // 2, lam*C(n,2)) loops per vertex and takes one cross cycle for
+    each of the n // 2 loops it cannot reserve.
     """
     k, odd = divmod(degree, 2)
-    reserved_loops = odd * (n // 2)
+    reserved_loops = odd * min(n // 2, lam * math.comb(n, 2))
+    factor_cycles = odd * (n // 2) - reserved_loops
     leave_from_cross = bool(odd and n % 2)
     edges = []
     pair_ids = {}
@@ -667,7 +671,7 @@ def _deque_two_class_coloring(n, m, lam, mu, degree):
         loop_ids.append(list(range(len(edges), len(edges) + lam * math.comb(n, 2))))
         edges += [(p, p)] * (lam * math.comb(n, 2))
 
-    if len(cycles) < k or (leave_from_cross and cross_leave is None):
+    if len(cycles) < k + factor_cycles or (leave_from_cross and cross_leave is None):
         raise RuntimeError("not enough spanning cycles in the fused graph")
 
     num_classes = k + odd
@@ -675,6 +679,9 @@ def _deque_two_class_coloring(n, m, lam, mu, degree):
     for j in range(1, k + 1):
         for a, b in cycles[j - 1]:
             colors[pair_ids[(a, b)].popleft()] = j
+    for cycle in cycles[k:k + factor_cycles]:
+        for a, b in cycle:
+            colors[pair_ids[(a, b)].popleft()] = k + 1
     if leave_from_cross:
         for a, b in cross_leave:
             colors[pair_ids[(a, b)].popleft()] = k + 1

@@ -407,7 +407,7 @@ def test_pair_blocks_match_the_deque_layout():
     for n, m, lam, mu in itertools.product(range(1, 7), range(2, 6), range(5), range(4)):
         degree = _two_class_degree(n, m, lam, mu)
         req = DecompositionRequest("two-class", n=n, m=m, lam=lam, mu=mu)
-        if not degree or (lam == 0 and n > 1 and degree % 2):
+        if not degree:
             continue
         if not check_feasibility(req).feasible:
             continue
@@ -434,7 +434,7 @@ def test_one_part_hosts_equal_the_complete_builder():
         ((2, 3, 1, 2), 1),  # odd, n = 2: fused, one loop per vertex in the 1-factor
         ((2, 3, 3, 1), 1),  # fused; its cross cycles are not certified on their own
         ((2, 3, 5, 1), 1),  # odd, n = 2 at the bound lambda = 2*mu*(m-1) + 1
-        ((3, 2, 0, 1), 1),  # lambda = 0, odd degree: multipartite host
+        ((3, 2, 0, 1), 1),  # lambda = 0, odd degree: fused, the 1-factor on cross cycles
     ],
 )
 def test_two_class_builders_certify_once(monkeypatch, shape, calls):
@@ -448,6 +448,21 @@ def test_two_class_builders_certify_once(monkeypatch, shape, calls):
     cert = decompose_two_class(*shape)
     assert len(seen) == calls
     assert seen[-1] is cert
+
+
+def test_every_two_class_shape_takes_the_fused_route(monkeypatch):
+    # lambda = 0 with odd degree too: its 1-factor takes whole cross cycles, not a
+    # multipartite host
+    def no_multipartite_host(*args):
+        raise AssertionError("two-class shape built as a multipartite host")
+
+    monkeypatch.setattr(constructions, "_multipartite_classes", no_multipartite_host)
+    built = 0
+    for n, m, lam, mu in itertools.product(range(1, 6), range(1, 6), range(6), range(6)):
+        if check_feasibility(DecompositionRequest("two-class", n=n, m=m, lam=lam, mu=mu)).feasible:
+            decompose_two_class(n, m, lam, mu)
+            built += 1
+    assert built == 819
 
 
 def _class_edges(cert):

@@ -108,6 +108,18 @@ def test_negative_vertex_count_raises():
     assert Multigraph(0, ()).degrees() == []
 
 
+def test_spec_rejects_a_phi_image_out_of_range():
+    with pytest.raises(GraphUsageError, match=r"^phi image out of range$"):
+        AmalgamationSpec((2,), (0, 1))
+    with pytest.raises(GraphUsageError, match=r"^phi image out of range$"):
+        AmalgamationSpec((2,), (0, -1))
+
+
+def test_amalgamate_rejects_a_partial_phi():
+    with pytest.raises(GraphUsageError, match=r"^phi must be total on V\(g\)$"):
+        amalgamate(complete_graph(3), [0, 0])
+
+
 def test_amalgamate_constant_phi_gives_all_loops():
     g = complete_graph(7)
     h, spec = amalgamate(g, [0] * 7)

@@ -89,9 +89,13 @@ def test_pinned_builder_routes():
     assert _cert_digest(factorize_multipartite(2, 3, 1, (2, 2))) == (
         "09b267405c30ca24fb508f75d78ea3e85f797e707abf2b68726c06638e226870"
     )
-    # fused: even degree, odd n = 2, one-vertex parts, lambda = mu and one part
-    # (lambda*K_n); then the one other route, lambda = 0 with odd degree
-    shapes = ((3, 3, 2, 1), (2, 3, 3, 1), (1, 4, 2, 1), (2, 2, 2, 2), (5, 1, 2, 0), (3, 2, 0, 1))
+    # all fused: even degree, odd n = 2, one-vertex parts, lambda = mu, one part
+    # (lambda*K_n), and lambda = 0 with odd degree, whose 1-factor takes cross
+    # cycles, for m = 2 and m = 4
+    shapes = (
+        (3, 3, 2, 1), (2, 3, 3, 1), (1, 4, 2, 1), (2, 2, 2, 2), (5, 1, 2, 0), (3, 2, 0, 1),
+        (3, 4, 0, 1),
+    )
     assert [_cert_digest(decompose_two_class(*shape)) for shape in shapes] == [
         "c26bc17f08b4026a93b844f65713303363e60905155a53504bc51bb5c869095b",
         "f959988d230f58f5d840bdff3da365d573bcfb828d8648645c23a36a733a8635",
@@ -99,6 +103,7 @@ def test_pinned_builder_routes():
         "6db890dd15508246066edf84760b28dccd93a307f5d92ab926a6361c5f57d6be",
         "96f1c5f12115e1a2e7704546f4f91771d593934998e8d0967d2c01a3297c0c74",
         "d7c0bdb012faa19d791f00307eaeff74f54c1c1dcb8dc3b684b4ea6934d237e4",
+        "0fa2b2e9ff3054b588740d976c06db490b846daf4aa8b770f53e6d5b50f0349f",
     ]
     k5 = complete_graph(5, 1)
     by_pair = {
